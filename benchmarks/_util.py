@@ -15,12 +15,21 @@ Every experiment bench:
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 from repro.analysis import Table
 
 RESULTS_DIR = Path(__file__).parent / "results"
 SUMMARY_PATH = Path(__file__).parent.parent / "BENCH_SUMMARY.json"
+
+
+def usable_cores() -> int:
+    """Cores this process may run on (recorded next to throughput numbers)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
 
 
 def emit(table: Table, name: str, extra: dict | None = None) -> Table:

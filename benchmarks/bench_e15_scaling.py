@@ -25,7 +25,6 @@ equality assertion; the speedup itself is gated in E18, not here.
 
 from __future__ import annotations
 
-import os
 from time import perf_counter
 
 from repro.algorithms import policy_registry
@@ -34,7 +33,7 @@ from repro.core.instance import WeightedPagingInstance
 from repro.service import PagingService, ServiceConfig, run_load
 from repro.workloads import sample_weights, zipf_stream
 
-from _util import emit, once
+from _util import emit, once, usable_cores
 
 N_PAGES, K, STREAM_LEN = 1024, 256, 40_000
 BATCH = 512
@@ -42,13 +41,6 @@ SHARD_COUNTS = [1, 2, 4]
 POLICY = "landlord-ref"  # O(k) victim scan per eviction: CPU-bound on purpose
 KERNEL_POLICY = "landlord-kernel"  # columnar batch kernel, same ledgers
 SPEEDUP_FLOOR = 1.8
-
-
-def usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 def _workload():

@@ -27,7 +27,6 @@ Results land in ``benchmarks/results/e17_rtrace.{txt,json}``.
 
 from __future__ import annotations
 
-import os
 import shutil
 import tempfile
 from pathlib import Path
@@ -47,7 +46,7 @@ from repro.obs.rtrace import (
 from repro.service import PagingService, ServiceConfig
 from repro.workloads import sample_weights, zipf_stream
 
-from _util import emit, once
+from _util import emit, once, usable_cores
 
 # E16's constants, verbatim: the overhead ratios only mean something if
 # the two benches price the same cluster on the same stream.
@@ -66,13 +65,6 @@ SAMPLE = 0.01
 #: batch indices (t=69) — the deterministic sampler makes that a fixed
 #: property of (seed, t), not a per-run coin flip.
 TRACE_SEED = 64
-
-
-def usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 def _workload():

@@ -3,33 +3,43 @@
 Both water-filling and Landlord reduce, via the global-offset trick, to
 the same eviction core: every cached copy carries a *death key*
 ``weight_at_set + offset_at_set`` and the victim is the exact minimum of
-``(death, seq)``.  That core is pure array arithmetic, so this module
-stores the policy state as preallocated numpy columns instead of dicts
-and heaps:
+``(death, seq)``.  This module stores the policy state in preallocated
+per-slot columns instead of per-page dicts:
 
 ========================  ====================================================
 Column                    Meaning
 ========================  ====================================================
-``_death   float64[k]``   death key per cache slot (``+inf`` for free slots,
-                          which keeps ``argmin`` mask-free)
-``_seqc    int64[k]``     credit-set sequence number per slot (tie-break)
+``_death   list[k]``      death key per cache slot (meaningless when free)
+``_seqc    list[k]``      key-set sequence number per slot (tie-break)
+``_heap``                 lazy binary heap of ``(death, seq, slot)`` entries,
+                          exactly one per cached slot
 ``_slot_level_np i64[k]`` cached level per slot (0 for free slots)
 ``_page_slot_np  i64[n]`` page -> slot index (-1 when not cached)
 ========================  ====================================================
 
 :meth:`serve_batch` serves a whole micro-batch:
 
-1. one vectorized pass classifies every request against the current
-   columns (``slot = page_slot[pages]; hit = cached & (level_of_slot <=
-   level)``),
-2. the leading run of pure hits is applied with two fancy-indexed
-   column writes (Landlord's credit restores; water-filling hits are
-   free),
-3. the remainder runs a lean scalar loop that *trusts* the batch
+1. one vectorized pass classifies every request against the numpy
+   index columns (``slot = page_slot[pages]; hit = cached &
+   (level_of_slot <= level)``),
+2. water-filling skips the leading run of pure hits outright (its hits
+   are free; Landlord's credit restores run through the loop below),
+3. the rest runs a lean scalar loop that *trusts* the batch
    classification for any page not yet touched by a miss/upgrade in
    this batch (a "dirty" set), and re-derives state only for dirty
-   pages.  Evictions are ``argmin`` over the death column with the seq
-   column consulted only when the minimum is tied.
+   pages.  Evictions are collected and settled with the ledger once per
+   batch (:meth:`~repro.core.ledger.CostLedger.charge_evictions`).
+
+Keys only grow: a cached slot's ``(death, seq)`` changes on a Landlord
+hit, an upgrade or a re-insert, and each adds a non-negative weight
+(rows are non-increasing, so an upgrade never lowers it) to an offset
+that never decreases (it only ever moves up to the minimal key), with a
+fresh ``seq``.  So hits and upgrades just overwrite the slot's columns
+and leave its heap entry stale — never larger than the live key.  To
+evict, a stale top is refreshed in place (``heapreplace``) until the top
+entry matches its slot; that slot is then the exact ``(death, seq)``
+minimum, and the incoming copy takes over its slot and heap entry.  The
+heap therefore never grows past ``k`` entries and needs no compaction.
 
 Exactness: the kernels perform the *same* double-precision additions in
 the same order as the scalar policies (``weights[p, l-1] + offset`` on
@@ -49,13 +59,15 @@ but the per-call validation layers are skipped on the hot path.  Run
 with ``validate=True`` (scalar fallback + per-request invariant checks)
 when auditing.
 
-Checkpointing: the policies pickle their numpy columns and rebuild the
-derived python-list mirrors and weight views in ``__setstate__``, so
-supervisor restore, process workers, and cluster migration round-trip
-them exactly like the scalar policies.
+Checkpointing: the policies pickle their columns and heap and rebuild
+the derived python-list mirrors and weight list in ``__setstate__``,
+so supervisor restore, process workers, and cluster migration
+round-trip them exactly like the scalar policies.
 """
 
 from __future__ import annotations
+
+from heapq import heappush, heapreplace
 
 import numpy as np
 
@@ -64,21 +76,12 @@ from repro.errors import CacheInvariantError
 
 __all__ = ["KernelLandlordPolicy", "KernelWaterFillingPolicy"]
 
-#: Sequence sentinel for free slots (never compared against a live seq).
-_EMPTY_SEQ = 2 ** 62
-_INF = float("inf")
-
-
-def _noop(_page) -> None:
-    """Default dirty-marker for the single-request ``serve`` protocol."""
-
 
 class _ColumnarPolicy(Policy):
     """Shared SoA state + batch dispatch for the death-key policy family.
 
-    Subclasses provide the eviction reason, the hit behavior (Landlord
-    restores credit, water-filling does nothing), and the vectorized
-    hit-run kernel.
+    Subclasses provide the eviction reason and the hit behavior
+    (Landlord restores credit, water-filling does nothing).
     """
 
     #: Ledger reason charged on capacity evictions.
@@ -97,9 +100,10 @@ class _ColumnarPolicy(Policy):
         self._offset = 0.0
         self._counter = 0
         self._ncached = 0
-        # Authoritative numpy columns (the eviction argmin runs on these).
-        self._death = np.full(k, np.inf, dtype=np.float64)
-        self._seqc = np.full(k, _EMPTY_SEQ, dtype=np.int64)
+        self._death = [0.0] * k
+        self._seqc = [0] * k
+        self._heap: list[tuple[float, int, int]] = []
+        # Index columns; the batch classification reads them vectorized.
         self._page_slot_np = np.full(n, -1, dtype=np.int64)
         self._slot_level_np = np.zeros(k, dtype=np.int64)
         self._free = list(range(k - 1, -1, -1))
@@ -113,30 +117,28 @@ class _ColumnarPolicy(Policy):
         reads from a list are ~2x faster than numpy scalar indexing —
         the batch path still reads the numpy columns vectorized.
         """
-        self._W = self.instance.weights
-        self._wlist = self._W.ravel().tolist()
+        self._wlist = self.instance.weights.ravel().tolist()
         self._page_slot = self._page_slot_np.tolist()
         self._slot_level = self._slot_level_np.tolist()
         self._contents = self.cache._contents
         self._ledger = self.cache.ledger
 
     def rebind_instance(self) -> None:
-        """Re-derive weight views after the engine re-points ``instance``.
+        """Re-derive the weight list after the engine re-points ``instance``.
 
         :meth:`ShardEngine.restore_state` replaces the unpickled
         instance with its live (shared, read-only) twin; the weight
-        values are equal, so behavior is unchanged — this just restores
-        memory sharing.
+        values are equal, so behavior is unchanged — this keeps the
+        derived list tied to the instance the policy now references.
         """
-        self._W = self.instance.weights
-        self._wlist = self._W.ravel().tolist()
+        self._wlist = self.instance.weights.ravel().tolist()
 
     # -- pickling ----------------------------------------------------------
     def __getstate__(self) -> dict:
         state = super().__getstate__()
         # Derived mirrors are rebuilt on unpickle; dropping them keeps
         # checkpoints small and avoids pickling the cache dict twice.
-        for name in ("_W", "_wlist", "_page_slot", "_slot_level",
+        for name in ("_wlist", "_page_slot", "_slot_level",
                      "_contents", "_ledger"):
             state.pop(name, None)
         return state
@@ -146,14 +148,13 @@ class _ColumnarPolicy(Policy):
         if state.get("instance") is not None and "_page_slot_np" in state:
             self._rebuild_derived()
 
-    # -- subclass hooks ----------------------------------------------------
-    def _scalar_hit(self, page: int, slot: int, current: int) -> None:
-        """Serve a hit on ``page`` cached in ``slot`` at ``current``."""
-        raise NotImplementedError
-
-    def _apply_hit_run(self, run_pages, run_slots, run_levels) -> None:
-        """Vectorized equivalent of ``_scalar_hit`` over a pure-hit run."""
-        raise NotImplementedError
+    # -- batch loop --------------------------------------------------------
+    def _heap_exhausted(self) -> CacheInvariantError:
+        return CacheInvariantError(
+            f"policy {self.name!r}: eviction heap exhausted while the cache "
+            f"holds {len(self._contents)}/{self._k} copies — kernel state "
+            "is corrupt (e.g. a bad restore)"
+        )
 
     def _serve_rest(self, i0, pages_l, levels_l, hit_l, slot_l, level_l) -> int:
         """Scalar loop over ``[i0, n)`` trusting the batch classification.
@@ -162,14 +163,15 @@ class _ColumnarPolicy(Policy):
         page not yet touched by a miss/upgrade in this batch (the
         ``dirty`` set) keeps its classification-pass verdict, slot, and
         cached level; anything else re-derives from the live columns.
-        The loop body is the inlined union of ``_scalar_hit`` /
-        ``_serve_one`` / ``_evict_victim`` — kept semantically in
-        lock-step with them (the protocol :meth:`serve` path runs those,
-        and the equivalence suite pins both against the scalar
-        policies).
+        The loop body is the inlined union of :meth:`serve` and
+        :meth:`_evict_victim` — kept semantically in lock-step with them
+        (the equivalence suite pins both paths against the scalar
+        policies).  Evictions and fetches are settled with the ledger
+        once, at the end of the batch.
         """
         death = self._death
         seqc = self._seqc
+        heap = self._heap
         wlist = self._wlist
         L = self._L
         page_slot = self._page_slot
@@ -178,18 +180,16 @@ class _ColumnarPolicy(Policy):
         page_slot_np = self._page_slot_np
         slot_level_np = self._slot_level_np
         contents = self._contents
-        ledger = self._ledger
-        charge = ledger.charge_eviction
-        count_fetch = ledger.count_fetch
         free = self._free
         k = self._k
         restores = self._hit_restores
         reason = self._evict_reason
-        argmin = death.argmin
-        inf = _INF
         offset = self._offset
         counter = self._counter
         ncached = self._ncached
+        evictions: list[tuple[int, int, float, str]] = []
+        charge = evictions.append
+        fetched = 0
         dirty: set[int] = set()
         dirty_add = dirty.add
         hits = 0
@@ -222,10 +222,10 @@ class _ColumnarPolicy(Policy):
                             counter += 1
                         continue
                     # In-place level upgrade: charge the old copy.
-                    charge(page, current,
-                           wlist[page * L + current - 1], "upgrade")
+                    charge((page, current,
+                            wlist[page * L + current - 1], "upgrade"))
                     contents[page] = level
-                    count_fetch()
+                    fetched += 1
                     slot_level[slot] = level
                     slot_level_np[slot] = level
                     death[slot] = wlist[page * L + level - 1] + offset
@@ -233,86 +233,83 @@ class _ColumnarPolicy(Policy):
                     counter += 1
                     dirty_add(page)
                     continue
-                # Miss: evict the (death, seq)-minimal copy if full.
+                # Miss: evict the (death, seq)-minimal copy if full; the
+                # new copy then takes over the victim's slot and entry.
                 if ncached >= k:
-                    victim = int(argmin())
-                    key = death[victim]
-                    if key == inf:
-                        raise CacheInvariantError(
-                            f"policy {self.name!r}: death-key column "
-                            f"exhausted while the cache holds "
-                            f"{len(contents)}/{k} copies — kernel state "
-                            "is corrupt (e.g. a bad restore)"
-                        )
-                    # Tie probe: mask the winner, re-run argmin; a second
-                    # slot at the same key means the seq column decides.
-                    death[victim] = inf
-                    if death[int(argmin())] == key:
-                        death[victim] = key
-                        ties = np.flatnonzero(death == key)
-                        victim = int(ties[int(seqc[ties].argmin())])
-                    offset = float(key)
-                    vpage = slot_page[victim]
-                    vlevel = slot_level[victim]
+                    try:
+                        key, seq, slot = heap[0]
+                    except IndexError:
+                        raise self._heap_exhausted() from None
+                    while seqc[slot] != seq:
+                        heapreplace(heap, (death[slot], seqc[slot], slot))
+                        key, seq, slot = heap[0]
+                    offset = key
+                    vpage = slot_page[slot]
+                    vlevel = slot_level[slot]
                     del contents[vpage]
-                    charge(vpage, vlevel,
-                           wlist[vpage * L + vlevel - 1], reason)
+                    charge((vpage, vlevel,
+                            wlist[vpage * L + vlevel - 1], reason))
                     page_slot[vpage] = -1
                     page_slot_np[vpage] = -1
-                    slot_page[victim] = -1
-                    slot_level[victim] = 0
-                    slot_level_np[victim] = 0
-                    death[victim] = inf
-                    seqc[victim] = _EMPTY_SEQ
-                    free.append(victim)
-                    ncached -= 1
                     dirty_add(vpage)
-                slot = free.pop()
+                    push = heapreplace
+                else:
+                    slot = free.pop()
+                    ncached += 1
+                    push = heappush
+                key = wlist[page * L + level - 1] + offset
+                push(heap, (key, counter, slot))
                 contents[page] = level
-                count_fetch()
+                fetched += 1
                 page_slot[page] = slot
                 page_slot_np[page] = slot
                 slot_page[slot] = page
                 slot_level[slot] = level
                 slot_level_np[slot] = level
-                death[slot] = wlist[page * L + level - 1] + offset
+                death[slot] = key
                 seqc[slot] = counter
                 counter += 1
-                ncached += 1
                 dirty_add(page)
         finally:
             self._offset = offset
             self._counter = counter
             self._ncached = ncached
+            ledger = self._ledger
+            ledger.count_fetch(fetched)
+            if evictions:
+                ledger.charge_evictions(evictions)
         return hits
 
-    # -- credit/water bookkeeping ------------------------------------------
-    def _insert(self, page: int, slot: int, level: int) -> None:
-        """Set the death key for a freshly (re)fetched copy."""
+    # -- per-request path --------------------------------------------------
+    def _set_key(self, slot: int, page: int, level: int) -> None:
+        """Give ``slot`` a fresh death key for ``page`` cached at ``level``.
+
+        Keys only grow, so the slot's heap entry may go stale but never
+        overstates the key; :meth:`_evict_victim` refreshes it lazily.
+        """
         self._death[slot] = self._wlist[page * self._L + level - 1] + self._offset
         self._seqc[slot] = self._counter
         self._counter += 1
 
     def _evict_victim(self) -> int:
-        """Evict the exact ``(death, seq)``-minimal copy; returns its page."""
+        """Evict the exact ``(death, seq)``-minimal copy; returns its slot.
+
+        The victim's entry is left on top of the heap for the caller to
+        ``heapreplace`` with the incoming copy's entry.
+        """
+        heap = self._heap
         death = self._death
-        victim = int(death.argmin())
-        key = death[victim]
-        if key == _INF:
-            raise CacheInvariantError(
-                f"policy {self.name!r}: death-key column exhausted while the "
-                f"cache holds {len(self._contents)}/{self._k} copies — "
-                "kernel state is corrupt (e.g. a bad restore)"
-            )
-        # Ties in the death key are broken by the credit-set sequence
-        # number, exactly like the scalar policies; the seq column is
-        # only consulted when a tie actually exists.
-        if np.count_nonzero(death == key) > 1:
-            ties = np.flatnonzero(death == key)
-            victim = int(ties[int(self._seqc[ties].argmin())])
-        self._offset = float(key)
-        page = self._slot_page[victim]
-        level = self._slot_level[victim]
+        seqc = self._seqc
+        try:
+            key, seq, slot = heap[0]
+        except IndexError:
+            raise self._heap_exhausted() from None
+        while seqc[slot] != seq:
+            heapreplace(heap, (death[slot], seqc[slot], slot))
+            key, seq, slot = heap[0]
+        self._offset = key
+        page = self._slot_page[slot]
+        level = self._slot_level[slot]
         del self._contents[page]
         self._ledger.charge_eviction(
             page, level, self._wlist[page * self._L + level - 1],
@@ -320,27 +317,17 @@ class _ColumnarPolicy(Policy):
         )
         self._page_slot[page] = -1
         self._page_slot_np[page] = -1
-        self._slot_page[victim] = -1
-        self._slot_level[victim] = 0
-        self._slot_level_np[victim] = 0
-        death[victim] = np.inf
-        self._seqc[victim] = _EMPTY_SEQ
-        self._free.append(victim)
-        self._ncached -= 1
-        return page
+        return slot
 
-    def _serve_one(self, page: int, level: int, dirty_add=_noop) -> int:
-        """Serve one request against the columns; returns 1 on a hit.
-
-        ``dirty_add`` marks pages whose cached state changed during the
-        current batch so the batch classification stops trusting them.
-        """
+    def serve(self, t: int, page: int, level: int) -> None:
+        """Serve one request; charges the ledger per event, as it happens."""
         slot = self._page_slot[page]
         if slot >= 0:
             current = self._slot_level[slot]
             if current <= level:
-                self._scalar_hit(page, slot, current)
-                return 1
+                if self._hit_restores:
+                    self._set_key(slot, page, current)
+                return
             # In-place level upgrade: charge the old copy, fetch is free.
             ledger = self._ledger
             ledger.charge_eviction(
@@ -351,13 +338,18 @@ class _ColumnarPolicy(Policy):
             ledger.count_fetch()
             self._slot_level[slot] = level
             self._slot_level_np[slot] = level
-            self._insert(page, slot, level)
-            dirty_add(page)
-            return 0
+            self._set_key(slot, page, level)
+            return
         # Miss: make room if needed, then fetch into a free slot.
         if self._ncached >= self._k:
-            dirty_add(self._evict_victim())
-        slot = self._free.pop()
+            slot = self._evict_victim()
+            push = heapreplace
+        else:
+            slot = self._free.pop()
+            self._ncached += 1
+            push = heappush
+        self._set_key(slot, page, level)
+        push(self._heap, (self._death[slot], self._seqc[slot], slot))
         self._contents[page] = level
         self._ledger.count_fetch()
         self._page_slot[page] = slot
@@ -365,10 +357,6 @@ class _ColumnarPolicy(Policy):
         self._slot_page[slot] = page
         self._slot_level[slot] = level
         self._slot_level_np[slot] = level
-        self._insert(page, slot, level)
-        self._ncached += 1
-        dirty_add(page)
-        return 0
 
     # -- batch entry point -------------------------------------------------
     def serve_batch(self, t0: int, pages: np.ndarray, levels: np.ndarray) -> int:
@@ -387,21 +375,16 @@ class _ColumnarPolicy(Policy):
         # is garbage but the `cached` mask below discards it.
         cached_levels = self._slot_level_np[slots]
         is_hit = (slots >= 0) & (cached_levels <= levels)
-        first_miss = int(is_hit.argmin())
-        if is_hit[first_miss]:
-            first_miss = n  # argmin found no False: the batch is all hits
-        if first_miss:
-            self._apply_hit_run(pages[:first_miss], slots[:first_miss],
-                                cached_levels[:first_miss])
-        if first_miss == n:
-            return n
-        return first_miss + self._serve_rest(
-            first_miss, pages.tolist(), levels.tolist(), is_hit.tolist(),
+        start = 0
+        if not self._hit_restores:
+            # Hits touch no state: skip the leading run of them outright.
+            start = int(is_hit.argmin())
+            if is_hit[start]:
+                return n  # argmin found no False: the batch is all hits
+        return start + self._serve_rest(
+            start, pages.tolist(), levels.tolist(), is_hit.tolist(),
             slots.tolist(), cached_levels.tolist(),
         )
-
-    def serve(self, t: int, page: int, level: int) -> None:
-        self._serve_one(page, level)
 
 
 @register_policy
@@ -409,33 +392,13 @@ class KernelLandlordPolicy(_ColumnarPolicy):
     """Landlord on columnar state; ``==``-equal to ``landlord-ref``.
 
     Hits restore the cached copy's credit (a death-key rewrite at the
-    *current* level), so the hit-run kernel is two fancy-indexed writes:
-    ``death[slots] = W[pages, levels-1] + offset`` and a fresh
-    ``arange`` of sequence numbers.  Duplicate pages inside one run are
-    resolved by numpy's in-order assignment (the last occurrence wins),
-    which is exactly the scalar overwrite order.
+    *current* level), so every request of a batch goes through the
+    fused loop; a hit only overwrites its slot's key, in request order.
     """
 
     name = "landlord-kernel"
     _evict_reason = "capacity"
     _hit_restores = True
-
-    def _scalar_hit(self, page: int, slot: int, current: int) -> None:
-        # Hit: restore credit to the cached copy's full weight.
-        self._death[slot] = (
-            self._wlist[page * self._L + current - 1] + self._offset
-        )
-        self._seqc[slot] = self._counter
-        self._counter += 1
-
-    def _apply_hit_run(self, run_pages, run_slots, run_levels) -> None:
-        count = self._counter
-        r = int(run_pages.size)
-        self._death[run_slots] = (
-            self._W[run_pages, run_levels - 1] + self._offset
-        )
-        self._seqc[run_slots] = np.arange(count, count + r, dtype=np.int64)
-        self._counter = count + r
 
 
 @register_policy
@@ -450,9 +413,3 @@ class KernelWaterFillingPolicy(_ColumnarPolicy):
     name = "waterfilling-kernel"
     _evict_reason = "waterfill"
     _hit_restores = False
-
-    def _scalar_hit(self, page: int, slot: int, current: int) -> None:
-        return  # step 1: already satisfied, water levels unchanged
-
-    def _apply_hit_run(self, run_pages, run_slots, run_levels) -> None:
-        return  # hits touch no columns

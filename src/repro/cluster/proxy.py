@@ -456,6 +456,10 @@ class ClusterProxy:
         if self._listener is None:
             return
         self._stopping.set()
+        # close() alone does not wake a thread blocked in accept();
+        # shutdown() does (it fails with ENOTCONN on some platforms).
+        with contextlib.suppress(OSError):
+            self._listener.shutdown(socket.SHUT_RDWR)
         with contextlib.suppress(OSError):
             self._listener.close()
         if self._accept_thread is not None:

@@ -8,7 +8,8 @@ counted so hit/miss statistics can be reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 __all__ = ["EvictionRecord", "CostLedger"]
 
@@ -89,9 +90,42 @@ class CostLedger:
         if self.tracer is not None:
             self.tracer.eviction(self._time, page, level, cost, reason)
 
-    def count_fetch(self) -> None:
-        """Record a (free) fetch."""
-        self.n_fetches += 1
+    def charge_evictions(
+            self, events: Sequence[tuple[int, int, float, str]]) -> None:
+        """Charge ``(page, level, cost, reason)`` evictions, in order.
+
+        The batch form of :meth:`charge_eviction`, bit-identical to one
+        call per event: the same float additions in the same order, the
+        same records, the same tracer calls.  A negative cost raises
+        :class:`ValueError` with the events before it charged, as the
+        per-event calls would leave them.
+        """
+        total = self.eviction_cost
+        charged = 0
+        by_reason = self.cost_by_reason
+        record = self.events.append if self.record_events else None
+        tracer = self.tracer
+        t = self._time
+        try:
+            for page, level, cost, reason in events:
+                if cost < 0:
+                    raise ValueError(
+                        f"eviction cost must be non-negative, got {cost}")
+                total += cost
+                charged += 1
+                if reason:
+                    by_reason[reason] = by_reason.get(reason, 0.0) + cost
+                if record is not None:
+                    record(EvictionRecord(t, page, level, cost, reason))
+                if tracer is not None:
+                    tracer.eviction(t, page, level, cost, reason)
+        finally:
+            self.eviction_cost = total
+            self.n_evictions += charged
+
+    def count_fetch(self, n: int = 1) -> None:
+        """Record ``n`` (free) fetches."""
+        self.n_fetches += n
 
     def count_hit(self) -> None:
         """Record a request served without any cache change."""

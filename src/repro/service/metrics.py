@@ -78,14 +78,45 @@ class ServiceLedger(CostLedger):
         self.evictions_by_level[level] = self.evictions_by_level.get(level, 0) + 1
         if self._m_evictions is NULL_METRIC and self._m_cost is NULL_METRIC:
             return  # no exposition sink: skip the per-level child lookups
+        children = self._children(level)
+        children[0].inc()
+        children[1].inc(cost)
+
+    def charge_evictions(
+            self, events: Sequence[tuple[int, int, float, str]]) -> None:
+        """Batch form of :meth:`charge_eviction`, bit-identical to one
+        call per event (see :meth:`CostLedger.charge_evictions`), per-level
+        dicts and registry children included."""
+        before = self.n_evictions
+        try:
+            super().charge_evictions(events)
+        finally:
+            # The per-level view takes exactly the events the base charged
+            # (all of them, unless a negative cost stopped it part-way).
+            charged = self.n_evictions - before
+            if charged < len(events):
+                events = events[:charged]
+            cost_by_level = self.cost_by_level
+            evictions_by_level = self.evictions_by_level
+            live = not (self._m_evictions is NULL_METRIC
+                        and self._m_cost is NULL_METRIC)
+            for _page, level, cost, _reason in events:
+                cost_by_level[level] = cost_by_level.get(level, 0.0) + cost
+                evictions_by_level[level] = evictions_by_level.get(level, 0) + 1
+                if live:
+                    children = self._children(level)
+                    children[0].inc()
+                    children[1].inc(cost)
+
+    def _children(self, level: int) -> tuple:
+        """The (evictions, cost) registry children for ``level``."""
         children = self._level_children.get(level)
         if children is None:
             lv = str(level)
             children = (self._m_evictions.labels(self._shard, lv),
                         self._m_cost.labels(self._shard, lv))
             self._level_children[level] = children
-        children[0].inc()
-        children[1].inc(cost)
+        return children
 
     def __getstate__(self) -> dict:
         """Drop the registry handles: families hold locks, children are

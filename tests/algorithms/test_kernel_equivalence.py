@@ -1,10 +1,10 @@
 """The columnar kernels must be *exactly* their scalar twins, request by request.
 
 ``landlord-kernel`` / ``waterfilling-kernel`` rearrange the policy state
-into numpy columns and serve whole batches, but every float they produce
+into per-slot columns and serve whole batches, but every float they produce
 comes from the same additions in the same order as the scalar
 implementations (``weight + offset`` death keys, exact ``(death, seq)``
-argmin).  So the comparison here is ``==`` across three implementations
+minimum).  So the comparison here is ``==`` across three implementations
 per family — kernel, lazy-heap scalar, O(k)-scan reference — on costs,
 eviction event streams (page, level, cost, reason), final cache contents
 and hit counts.  Checkpoint pickling is exercised mid-stream: a restored
@@ -14,6 +14,7 @@ kernel must continue byte-identically.
 import pickle
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,6 +30,9 @@ from repro.algorithms import (
 from repro.core.cache import MultiLevelCache
 from repro.core.instance import WeightedPagingInstance
 from repro.core.ledger import CostLedger
+from repro.errors import CacheInvariantError
+from repro.obs import MetricsRegistry
+from repro.service import ServiceLedger, ShardEngine
 from repro.sim import simulate
 from repro.workloads import (
     multilevel_stream,
@@ -55,6 +59,21 @@ def _random_case(rng, *, max_pages=40, max_len=400):
     seq = multilevel_stream(n, levels, int(rng.integers(50, max_len)),
                             alpha=float(rng.uniform(0.3, 1.2)), rng=rng)
     return inst, seq
+
+
+def assert_heap_invariant(kernel):
+    """Exactly one heap entry per cached slot, none above its slot's key.
+
+    Keys only grow, so a stale entry may understate its slot's live
+    ``(death, seq)`` but never overstate it — which is what makes the
+    refreshed heap top the exact minimum.
+    """
+    heap = kernel._heap
+    cached = sorted(kernel._page_slot[p] for p in kernel.cache._contents)
+    assert sorted(slot for _, _, slot in heap) == cached
+    for key, seq, slot in heap:
+        assert (key, seq) <= (kernel._death[slot], kernel._seqc[slot])
+    assert all(heap[(i - 1) // 2] <= heap[i] for i in range(1, len(heap)))
 
 
 def assert_triple_equivalent(inst, seq, factories):
@@ -87,7 +106,7 @@ class TestKernelEquivalence:
 
     def test_tied_death_keys_break_identically(self):
         # Uniform weights make every live death key equal: only the exact
-        # (death, seq) tie-break keeps the kernel's argmin on the scan's
+        # (death, seq) tie-break keeps the kernel's heap on the scan's
         # victim.  This is the case a float-tolerant kernel would fail.
         inst = WeightedPagingInstance.uniform(10, 4)
         seq = zipf_stream(10, 1500, alpha=0.5, rng=9)
@@ -141,6 +160,110 @@ class TestServeBatchChunks:
             oracle = simulate(inst, seq, oracle_cls(), validate=False)
             assert kernel.cache.ledger.eviction_cost == oracle.cost
             assert hits == oracle.n_hits
+
+
+def _eviction_metrics(registry):
+    collected = registry.collect()
+    return {name: collected[name] for name in
+            ("repro_evictions_total", "repro_eviction_cost_total")}
+
+
+def _ledger_fields(ledger, registry):
+    return {
+        "eviction_cost": ledger.eviction_cost,
+        "n_evictions": ledger.n_evictions,
+        "n_fetches": ledger.n_fetches,
+        "cost_by_reason": ledger.cost_by_reason,
+        "cost_by_level": ledger.cost_by_level,
+        "evictions_by_level": ledger.evictions_by_level,
+        "registry": _eviction_metrics(registry),
+    }
+
+
+class TestProductionLedgerPath:
+    """The serving path: batches settle into a non-recording
+    ``ServiceLedger`` under a live registry, never via per-event charges."""
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=15, deadline=None)
+    def test_random_chunks_match_scan_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        inst, seq = _random_case(rng, max_pages=60, max_len=600)
+        pages, levels = seq.pages.tolist(), seq.levels.tolist()
+        for kernel_cls, _, oracle_cls in FAMILIES:
+            k_reg, o_reg = MetricsRegistry(), MetricsRegistry()
+            kernel = kernel_cls()
+            kernel.bind(inst, MultiLevelCache(
+                inst, ServiceLedger(registry=k_reg, shard=0)),
+                np.random.default_rng(0))
+            k_hits, t = 0, 0
+            while t < len(seq):
+                chunk = int(rng.integers(1, 65))
+                k_hits += kernel.serve_batch(
+                    t, seq.pages[t:t + chunk], seq.levels[t:t + chunk])
+                assert_heap_invariant(kernel)
+                t += chunk
+
+            oracle = oracle_cls()
+            cache = MultiLevelCache(inst, ServiceLedger(registry=o_reg,
+                                                        shard=0))
+            oracle.bind(inst, cache, np.random.default_rng(0))
+            o_hits = 0
+            for t, (page, level) in enumerate(zip(pages, levels)):
+                o_hits += cache.serves(page, level)
+                oracle.serve(t, page, level)
+
+            assert _ledger_fields(kernel.cache.ledger, k_reg) == \
+                _ledger_fields(cache.ledger, o_reg)
+            assert k_hits == o_hits
+            assert dict(kernel.cache.items()) == dict(cache.items())
+
+
+class TestHeapInvariant:
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=10, deadline=None)
+    def test_holds_across_pickle_and_engine_restore(self, seed):
+        rng = np.random.default_rng(seed)
+        inst, seq = _random_case(rng, max_pages=50, max_len=600)
+        for kernel_cls, _, oracle_cls in FAMILIES:
+            engine = ShardEngine(0, inst, kernel_cls(),
+                                 np.random.default_rng(0))
+            t = 0
+            while t < len(seq):
+                chunk = int(rng.integers(1, 97))
+                engine.process_batch(seq.pages[t:t + chunk],
+                                     seq.levels[t:t + chunk])
+                t += chunk
+                assert_heap_invariant(engine.policy)
+                assert_heap_invariant(pickle.loads(pickle.dumps(
+                    engine.policy)))
+                # Continue on a restored twin: its heap must carry on
+                # making the same decisions.
+                payload, mark, _ = engine.capture_state()
+                engine = ShardEngine(0, inst, kernel_cls(),
+                                     np.random.default_rng(0))
+                engine.restore_from(payload, mark)
+                assert_heap_invariant(engine.policy)
+            oracle = simulate(inst, seq, oracle_cls(), validate=False)
+            assert engine.ledger.eviction_cost == oracle.cost
+            assert dict(engine.cache.items()) == oracle.final_cache
+
+    @pytest.mark.parametrize("kernel_cls", [KernelLandlordPolicy,
+                                            KernelWaterFillingPolicy])
+    @pytest.mark.parametrize("path", ["serve_batch", "serve"])
+    def test_emptied_heap_on_full_cache_names_the_policy(self, kernel_cls,
+                                                         path):
+        inst = WeightedPagingInstance(3, sample_weights(8, rng=0))
+        kernel = kernel_cls()
+        kernel.bind(inst, MultiLevelCache(inst, CostLedger()),
+                    np.random.default_rng(0))
+        kernel.serve_batch(0, np.array([0, 1, 2]), np.array([1, 1, 1]))
+        kernel._heap.clear()  # corrupt state, e.g. a bad restore
+        with pytest.raises(CacheInvariantError, match=kernel_cls.name):
+            if path == "serve":
+                kernel.serve(3, 5, 1)
+            else:
+                kernel.serve_batch(3, np.array([5]), np.array([1]))
 
 
 class TestKernelCheckpointEquivalence:

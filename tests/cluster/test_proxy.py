@@ -261,6 +261,18 @@ class TestLifecycle:
         srv.stop()
         svc.stop()
 
+    def test_idle_stop_returns_promptly(self):
+        # stop() must wake the thread blocked in accept() rather than
+        # wait out its join timeout.
+        cmap = ClusterMap.balanced(["127.0.0.1:1"], N_SHARDS)
+        proxy = ClusterProxy(cmap).start(check_backends=False)
+        accept_thread = proxy._accept_thread
+        time.sleep(0.2)  # let the accept thread block in accept()
+        started = time.perf_counter()
+        proxy.stop()
+        assert time.perf_counter() - started < 1.0
+        assert not accept_thread.is_alive()
+
     def test_metrics_count_traffic(self):
         from repro.obs import MetricsRegistry
 

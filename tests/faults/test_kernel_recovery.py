@@ -2,7 +2,7 @@
 
 The chaos smoke test pins the fault/checkpoint/replay stack on a scalar
 policy; this one re-runs the same shape with the batch kernels.  The
-checkpoint payload carries the kernel's numpy columns (minus the derived
+checkpoint payload carries the kernel's columns and heap (minus the derived
 views its ``__getstate__`` drops), a restore rebuilds those views against
 the live instance, and replayed batches go back through ``serve_batch`` —
 so a mid-run kill must still land on the exact fault-free cost.
