@@ -14,18 +14,19 @@ disappears.
 
 This bench drives a single inline shard (the E15 inline cell: one
 ``submit_batch`` loop, no queueing) on the E10 and E15 workload shapes
-and records requests/s for three implementations per family:
+and records requests/s for each implementation of a family:
 
 * the O(k)-scan reference (``landlord-ref`` / ``waterfilling``) — the
   scalar status-quo baseline the E-series benches configure today,
-* the lazy-heap scalar (``landlord`` / ``waterfilling-heap``),
+* the lazy-heap scalar (``waterfilling-heap``; Landlord has none left —
+  its ``landlord`` name is an alias of the kernel),
 * the columnar kernel.
 
 Asserted shape claims:
 
-* **Exact cost equality** — per shape and family, all three
-  implementations produce ``==``-equal eviction costs (the kernel must be
-  unobservable in the ledgers).
+* **Exact cost equality** — per shape and family, all implementations
+  produce ``==``-equal eviction costs (the kernel must be unobservable in
+  the ledgers).
 * **Kernel speedup** (enforced on every machine, 1-core CI included) —
   the kernel serves >= 3x the scan baseline's throughput on both shapes
   for both families.  The single-core >= 1M req/s target is recorded as
@@ -58,12 +59,10 @@ SHAPES = {
 }
 #: family -> implementation tier -> registered policy name
 FAMILIES = {
-    "landlord": {"baseline": "landlord-ref", "heap": "landlord",
-                 "kernel": "landlord-kernel"},
+    "landlord": {"baseline": "landlord-ref", "kernel": "landlord-kernel"},
     "waterfilling": {"baseline": "waterfilling", "heap": "waterfilling-heap",
                      "kernel": "waterfilling-kernel"},
 }
-TIERS = ("baseline", "heap", "kernel")
 
 
 def _workload(shape: dict):
@@ -100,7 +99,7 @@ def run_experiment() -> tuple[Table, dict]:
     )
     runs: dict[str, dict] = {}
     speedups: dict[str, list[float]] = {f: [] for f in FAMILIES}
-    heap_ratios: dict[str, list[float]] = {f: [] for f in FAMILIES}
+    heap_ratios: list[float] = []
     competitive_ratios: dict[str, dict[str, float]] = {}
     best_kernel = 0.0
     max_ratio = 0.0
@@ -113,19 +112,16 @@ def run_experiment() -> tuple[Table, dict]:
         shape_runs: dict[str, dict] = {}
         for family, names in FAMILIES.items():
             cell: dict[str, dict] = {}
-            for tier in TIERS:
-                cost, rate = _run_inline(inst, seq, names[tier])
-                cell[tier] = {"policy": names[tier], "eviction_cost": cost,
+            for tier, name in names.items():
+                cost, rate = _run_inline(inst, seq, name)
+                cell[tier] = {"policy": name, "eviction_cost": cost,
                               "throughput_req_s": rate}
             base_rate = cell["baseline"]["throughput_req_s"]
             speedup = cell["kernel"]["throughput_req_s"] / base_rate
-            vs_heap = (cell["kernel"]["throughput_req_s"]
-                       / cell["heap"]["throughput_req_s"])
             speedups[family].append(speedup)
-            heap_ratios[family].append(vs_heap)
             best_kernel = max(best_kernel,
                               cell["kernel"]["throughput_req_s"])
-            for tier in TIERS:
+            for tier in names:
                 ratio = competitive_ratio(cell[tier]["eviction_cost"],
                                           bound.value)
                 cell[tier]["competitive_ratio"] = ratio
@@ -142,9 +138,13 @@ def run_experiment() -> tuple[Table, dict]:
             shape_runs[family] = {
                 **cell,
                 "kernel_vs_baseline": speedup,
-                "kernel_vs_heap": vs_heap,
                 "competitive_ratio": family_ratio,
             }
+            if "heap" in cell:
+                vs_heap = (cell["kernel"]["throughput_req_s"]
+                           / cell["heap"]["throughput_req_s"])
+                heap_ratios.append(vs_heap)
+                shape_runs[family]["kernel_vs_heap"] = vs_heap
         runs[shape_name] = {"workload": {**shape, "requests": STREAM_LEN,
                                          "batch_size": BATCH},
                             "opt_bound": opt_bound_payload(bound),
@@ -161,10 +161,9 @@ def run_experiment() -> tuple[Table, dict]:
         # on the same single core, so the ratio needs no parallelism.
         "kernel_speedup_gate": {"floor": SPEEDUP_FLOOR, "enforced": True},
         "kernel_speedup_gate_enforced": True,
-        # Informational: the lazy-heap scalars are already O(log k), so
-        # the kernel's win over them is interpreter overhead only.
-        "kernel_vs_heap_landlord": min(heap_ratios["landlord"]),
-        "kernel_vs_heap_waterfilling": min(heap_ratios["waterfilling"]),
+        # Informational: the lazy-heap scalar is already O(log k), so the
+        # kernel's win over it is interpreter overhead only.
+        "kernel_vs_heap_waterfilling": min(heap_ratios),
         "best_kernel_req_s": best_kernel,
         "target_req_s": TARGET_REQ_S,
         "target_req_s_met": best_kernel >= TARGET_REQ_S,
@@ -179,16 +178,16 @@ def test_e18_kernel_throughput(benchmark):
     table, extra = once(benchmark, run_experiment)
     emit(table, "e18_kernels", extra=extra)
     # The kernel must be unobservable in the ledgers: exact cost equality
-    # against both scalar implementations, per shape and family.
+    # against every scalar implementation, per shape and family.
     for shape_name, shape_runs in extra["runs"].items():
-        for family in FAMILIES:
+        for family, names in FAMILIES.items():
             cell = shape_runs[family]
-            costs = {tier: cell[tier]["eviction_cost"] for tier in TIERS}
+            costs = {tier: cell[tier]["eviction_cost"] for tier in names}
             assert len(set(costs.values())) == 1, (
                 f"{shape_name}/{family} costs diverge across "
                 f"implementations: {costs}"
             )
-            for tier in TIERS:
+            for tier in names:
                 assert cell[tier]["throughput_req_s"] > 0
                 # l = 1: the LP bound sits below OPT, so every measured
                 # cost/OPT-bound ratio is finite and >= 1.

@@ -11,9 +11,7 @@ bound; measured ratios.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.algorithms import LandlordPolicy, LRUPolicy, WaterFillingPolicy
+from repro.algorithms import KernelLandlordPolicy, LRUPolicy, WaterFillingPolicy
 from repro.analysis import Table, competitive_ratio
 from repro.core.instance import WeightedPagingInstance
 from repro.offline import best_opt_bound
@@ -40,15 +38,15 @@ def run_experiment() -> tuple[Table, dict[int, float]]:
         opt = best_opt_bound(inst, seq, max_states=6000)
         costs = {
             p.name: simulate(inst, seq, p, seed=0).cost
-            for p in [WaterFillingPolicy(), LandlordPolicy(), LRUPolicy()]
+            for p in [WaterFillingPolicy(), KernelLandlordPolicy(), LRUPolicy()]
         }
         ratios = {
             name: competitive_ratio(c, opt.value) for name, c in costs.items()
         }
         wf_ratios[k] = ratios["waterfilling"]
         table.add_row(
-            k, opt.value, costs["waterfilling"], costs["landlord"],
-            costs["lru"], ratios["waterfilling"], ratios["landlord"],
+            k, opt.value, costs["waterfilling"], costs["landlord-kernel"],
+            costs["lru"], ratios["waterfilling"], ratios["landlord-kernel"],
             ratios["lru"],
         )
     return table, wf_ratios

@@ -146,7 +146,7 @@ def run_experiment() -> tuple[Table, dict]:
     round_s = perf_counter() - started
     divisor = lp_divisor(inst)
     lower, upper = solution.value / divisor, rounded.cost
-    landlord_cost = simulate(inst, seq, policy_registry["landlord"](),
+    landlord_cost = simulate(inst, seq, policy_registry["landlord-kernel"](),
                              seed=0, validate=False).cost
     landlord_ratio = competitive_ratio(landlord_cost, lower)
     table.add_row(f"scale n={SCALE_N_PAGES} k={SCALE_K}", len(seq),

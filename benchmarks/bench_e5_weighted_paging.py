@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from repro.algorithms import (
-    LandlordPolicy,
+    KernelLandlordPolicy,
     LRUPolicy,
     RandomizedMarkingPolicy,
     RandomizedWeightedPagingPolicy,
@@ -63,7 +63,7 @@ def run_experiment() -> tuple[Table, dict[str, dict[str, float]], dict]:
         opt = best_opt_bound(inst, seq, max_states=15000)
         opt_bounds[name] = opt_bound_payload(opt)
         ratios[name] = {}
-        for factory in [LRUPolicy, RandomizedMarkingPolicy, LandlordPolicy,
+        for factory in [LRUPolicy, RandomizedMarkingPolicy, KernelLandlordPolicy,
                         WaterFillingPolicy, RandomizedWeightedPagingPolicy]:
             costs = [
                 simulate(inst, seq, factory(), seed=s).cost for s in range(SEEDS)
@@ -94,14 +94,14 @@ def test_e5_weighted_paging(benchmark):
             assert 1.0 - 1e-6 <= ratio < float("inf")
     adv = ratios["phase adversary"]
     # Weight-aware policies crush LRU on the weighted adversary...
-    assert adv["landlord"] < 0.67 * adv["lru"]
+    assert adv["landlord-kernel"] < 0.67 * adv["lru"]
     assert adv["randomized-weighted"] < 0.5 * adv["lru"]
     # ...and the paper's randomized policy stays within its O(log^2 k)
     # band (beta ~ 4 log k constants) even where Landlord is near-optimal.
     beta = 4.0 * math.log(8)  # k = 8 in both workloads
     for name in ratios:
         assert ratios[name]["randomized-weighted"] <= max(
-            beta, 3.0 * ratios[name]["landlord"]
+            beta, 3.0 * ratios[name]["landlord-kernel"]
         ), (name, ratios[name])
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms import LandlordPolicy, LRUPolicy
+from repro.algorithms import KernelLandlordPolicy, LRUPolicy
 from repro.analysis import Table
 from repro.setcover import (
     completeness_bound,
@@ -46,7 +46,7 @@ def run_experiment() -> tuple[Table, list[dict]]:
                 fam.system, elements, w=6.0, repetitions=8
             )
             bound = completeness_bound(red, len(offline))
-            for factory in [LRUPolicy, LandlordPolicy]:
+            for factory in [LRUPolicy, KernelLandlordPolicy]:
                 r = simulate(red.instance, red.sequence, factory(),
                              seed=seq_idx, record_events=True)
                 cover = extract_cover(red, r.events)

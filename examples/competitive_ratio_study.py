@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms import (
-    LandlordPolicy,
+    KernelLandlordPolicy,
     LRUPolicy,
     RandomizedWeightedPagingPolicy,
     WaterFillingPolicy,
@@ -26,7 +26,7 @@ from repro.sim import RunSpec, run_sweep
 from repro.workloads import sample_weights, zipf_stream
 
 KS = [2, 4, 8, 16]
-POLICIES = [LRUPolicy, LandlordPolicy, WaterFillingPolicy,
+POLICIES = [LRUPolicy, KernelLandlordPolicy, WaterFillingPolicy,
             RandomizedWeightedPagingPolicy]
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms import LandlordPolicy, LRUPolicy, WaterFillingPolicy
+from repro.algorithms import KernelLandlordPolicy, LRUPolicy, WaterFillingPolicy
 from repro.analysis import Table
 from repro.setcover import (
     completeness_bound,
@@ -59,7 +59,7 @@ def main() -> None:
          "cover committed", "valid cover"],
         title="online policies on the set-cover image",
     )
-    for policy in [LRUPolicy(), LandlordPolicy(), WaterFillingPolicy()]:
+    for policy in [LRUPolicy(), KernelLandlordPolicy(), WaterFillingPolicy()]:
         result = simulate(reduction.instance, reduction.sequence, policy,
                           seed=0, record_events=True)
         cover = extract_cover(reduction, result.events)

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro import WeightedPagingInstance
 from repro.algorithms import (
-    LandlordPolicy,
+    KernelLandlordPolicy,
     LRUPolicy,
     RandomizedWeightedPagingPolicy,
     WaterFillingPolicy,
@@ -41,7 +41,7 @@ def main() -> None:
     # --- 4. Online policies, paper's vs baselines. --------------------------
     policies = [
         LRUPolicy(),                        # weight-oblivious baseline
-        LandlordPolicy(),                   # k-competitive weighted baseline
+        KernelLandlordPolicy(),             # k-competitive weighted baseline
         WaterFillingPolicy(),               # paper Sec 4.1: deterministic O(k)
         RandomizedWeightedPagingPolicy(),   # paper Sec 4.3: O(log^2 k)
     ]

@@ -11,9 +11,9 @@ Policy                    What it is
 ``lru`` / ``fifo`` /
 ``random`` / ``marking``
 / ``randomized-marking``  classical weight-oblivious baselines
-``landlord``              k-competitive weighted baseline (O(log k) heap)
+``landlord-kernel``       k-competitive weighted baseline, columnar numpy
+                          batch kernel (``landlord`` is an alias of it)
 ``landlord-ref``          same algorithm, O(k)-scan reference oracle
-``landlord-kernel``       same algorithm, columnar numpy batch kernel
 ``wb-lru``                dirty-oblivious LRU on a writeback cache
 ``wb-landlord``           dirty-aware Landlord heuristic
 ``rw[<inner>]``           any multi-level policy lifted to writeback caching
@@ -44,7 +44,7 @@ from repro.algorithms.kernels import (
     KernelLandlordPolicy,
     KernelWaterFillingPolicy,
 )
-from repro.algorithms.landlord import LandlordPolicy, LandlordRefPolicy
+from repro.algorithms.landlord import LandlordRefPolicy
 from repro.algorithms.primal_dual import (
     PrimalDualState,
     PrimalDualWeightedPaging,
@@ -78,7 +78,6 @@ __all__ = [
     "RandomEvictionPolicy",
     "MarkingPolicy",
     "RandomizedMarkingPolicy",
-    "LandlordPolicy",
     "LandlordRefPolicy",
     "KernelLandlordPolicy",
     "KernelWaterFillingPolicy",

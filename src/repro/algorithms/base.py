@@ -9,6 +9,10 @@ the integral cache already serves the request.  After ``serve`` returns, the
 simulator verifies that the request is served and that all cache invariants
 hold.
 
+Unverified runs enter through :meth:`Policy.serve_batch` instead, one call
+per micro-batch: the default is the per-request ``serve`` loop, and the
+columnar kernels override it with a whole-batch implementation.
+
 :class:`WritebackPolicy` is the analogous protocol for writeback-aware
 caching; the simulator marks the page dirty after a served write.
 """
@@ -66,6 +70,27 @@ class Policy(ABC):
         Called on every request.  On return the cache must serve the
         request: some copy ``(page, j)`` with ``j <= level`` is cached.
         """
+
+    def serve_batch(self, t0: int, pages: np.ndarray, levels: np.ndarray) -> int:
+        """Serve ``pages[i], levels[i]`` at time ``t0 + i``; returns the hits.
+
+        A hit is a request the cache served before :meth:`serve` ran.  The
+        default is that per-request loop; overrides must keep its
+        semantics exactly (same decisions, same ledger, same hit count).
+        """
+        serves = self.cache.serves
+        serve = self.serve
+        hits = 0
+        for t, (page, level) in enumerate(zip(pages.tolist(), levels.tolist()),
+                                          t0):
+            if serves(page, level):
+                hits += 1
+            serve(t, page, level)
+        return hits
+
+    def rebind_instance(self) -> None:
+        """Re-derive cached views of ``instance`` after a restore re-points
+        it at its live (equal, shared) twin; the default caches none."""
 
     def extras(self) -> dict[str, float]:
         """Per-run extra metrics merged into ``RunResult.extra``.

@@ -1,5 +1,8 @@
 """Columnar (structure-of-arrays) batch kernels for the death-key policies.
 
+``landlord-kernel`` is the one production Landlord (the registry name
+``landlord`` is an alias of it).
+
 Both water-filling and Landlord reduce, via the global-offset trick, to
 the same eviction core: every cached copy carries a *death key*
 ``weight_at_set + offset_at_set`` and the victim is the exact minimum of
@@ -17,7 +20,8 @@ Column                    Meaning
 ``_page_slot_np  i64[n]`` page -> slot index (-1 when not cached)
 ========================  ====================================================
 
-:meth:`serve_batch` serves a whole micro-batch:
+:meth:`serve_batch` (the override of :meth:`Policy.serve_batch`) serves a
+whole micro-batch:
 
 1. one vectorized pass classifies every request against the numpy
    index columns (``slot = page_slot[pages]; hit = cached &
@@ -46,7 +50,7 @@ the same order as the scalar policies (``weights[p, l-1] + offset`` on
 the same read-only array), pick victims by the same exact ``(death,
 seq)`` minimum, and charge the ledger with identical reasons in
 identical order — so costs, eviction event streams, and final cache
-contents are ``==``-equal to ``landlord``/``landlord-ref`` and
+contents are ``==``-equal to ``landlord-ref`` and
 ``waterfilling``/``waterfilling-heap``.  The test suite pins this
 request-by-request (hypothesis suite in
 ``tests/algorithms/test_kernel_equivalence.py``).
@@ -71,7 +75,7 @@ from heapq import heappush, heapreplace
 
 import numpy as np
 
-from repro.algorithms.base import Policy, register_policy
+from repro.algorithms.base import Policy, policy_registry, register_policy
 from repro.errors import CacheInvariantError
 
 __all__ = ["KernelLandlordPolicy", "KernelWaterFillingPolicy"]
@@ -124,13 +128,7 @@ class _ColumnarPolicy(Policy):
         self._ledger = self.cache.ledger
 
     def rebind_instance(self) -> None:
-        """Re-derive the weight list after the engine re-points ``instance``.
-
-        :meth:`ShardEngine.restore_state` replaces the unpickled
-        instance with its live (shared, read-only) twin; the weight
-        values are equal, so behavior is unchanged — this keeps the
-        derived list tied to the instance the policy now references.
-        """
+        """Re-derive the weight list from the re-pointed (equal) ``instance``."""
         self._wlist = self.instance.weights.ravel().tolist()
 
     # -- pickling ----------------------------------------------------------
@@ -399,6 +397,11 @@ class KernelLandlordPolicy(_ColumnarPolicy):
     name = "landlord-kernel"
     _evict_reason = "capacity"
     _hit_restores = True
+
+
+# The old name of the production Landlord keeps resolving (CLI flags,
+# benches, recorded experiences); reports print the canonical name.
+policy_registry["landlord"] = KernelLandlordPolicy
 
 
 @register_policy

@@ -9,7 +9,7 @@ for the paper's algorithms (it is *not* writeback- or level-aware beyond
 using the weight of the currently cached copy).
 
 The uniform credit decrement is the same structure as water-filling's
-uniform raise, so both implementations here use the global-offset trick
+uniform raise, so both Landlord implementations use the global-offset trick
 from :mod:`repro.algorithms.waterfilling`: instead of mutating every
 credit per eviction round (O(k) float subtractions whose accumulated
 drift used to require a ``credit <= 1e-12`` epsilon compare to find the
@@ -18,27 +18,21 @@ the cumulative decrement at which its credit hits zero.  Victims are the
 exact minimum ``(death, seq)``; no epsilon, no drift, and the choice is
 bit-identical across platforms.
 
-Two interchangeable implementations:
-
-* :class:`LandlordRefPolicy` (``landlord-ref``) — the direct O(cache
-  size)-per-eviction scan, kept as the request-by-request equivalence
-  oracle;
-* :class:`LandlordPolicy` (``landlord``) — O(log k) per eviction via a
-  lazy-deletion heap keyed on ``(death, seq)``.
-
-Both use the identical deterministic tie-break (credit-set sequence
-number), so their behavior is *exactly* equal — a property the test
-suite checks request-by-request.
+This module holds the deliberately simple oracle,
+:class:`LandlordRefPolicy` (``landlord-ref``): a direct O(cache
+size)-per-eviction scan.  The production Landlord is the columnar
+:class:`~repro.algorithms.kernels.KernelLandlordPolicy`
+(``landlord-kernel``, also registered as ``landlord``), which uses the
+identical deterministic tie-break (credit-set sequence number), so the
+two are *exactly* equal — a property the test suite checks request by
+request.
 """
 
 from __future__ import annotations
 
-import heapq
-
 from repro.algorithms.base import Policy, register_policy
-from repro.errors import CacheInvariantError
 
-__all__ = ["LandlordPolicy", "LandlordRefPolicy"]
+__all__ = ["LandlordRefPolicy"]
 
 
 @register_policy
@@ -81,76 +75,5 @@ class LandlordRefPolicy(Policy):
             cache.evict(victim, reason="capacity")
             del self._death[victim]
             del self._seq[victim]
-        cache.fetch(page, level)
-        self._set_credit(page, level)
-
-
-@register_policy
-class LandlordPolicy(Policy):
-    """Landlord with in-place level upgrades for multi-level instances.
-
-    Heap-accelerated; behaviorally identical to :class:`LandlordRefPolicy`.
-    """
-
-    name = "landlord"
-
-    def bind(self, instance, cache, rng) -> None:
-        super().bind(instance, cache, rng)
-        self._offset = 0.0
-        # Heap of (death key = credit + offset_at_set, seq, page); stale
-        # entries (superseded by a later credit restore) are skipped via
-        # the live-entry map.
-        self._heap: list[tuple[float, int, int]] = []
-        self._live: dict[int, int] = {}  # page -> live seq number
-        self._counter = 0
-
-    def _set_credit(self, page: int, level: int) -> None:
-        key = self.instance.weight(page, level) + self._offset
-        self._live[page] = self._counter
-        heapq.heappush(self._heap, (key, self._counter, page))
-        self._counter += 1
-        # Every hit pushes a fresh entry, so on hit-heavy streams the
-        # stale tail would otherwise grow O(total requests); compacting
-        # at 2x live keeps the heap <= 2k+1 entries with O(1) amortized
-        # work per push, and pops the exact same victims (stale entries
-        # are never returned).
-        if len(self._heap) > 2 * len(self._live):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Rebuild the heap from live entries only (drop the stale tail)."""
-        live = self._live
-        self._heap = [e for e in self._heap if live.get(e[2]) == e[1]]
-        heapq.heapify(self._heap)
-
-    def _pop_victim(self) -> tuple[float, int]:
-        heap = self._heap
-        while heap:
-            key, seq, page = heapq.heappop(heap)
-            if self._live.get(page) == seq:
-                del self._live[page]
-                return key, page
-        cache = self.cache
-        raise CacheInvariantError(
-            f"policy {self.name!r}: eviction heap exhausted while the cache "
-            f"holds {len(cache)}/{cache.instance.cache_size} copies — "
-            "policy state is corrupt (e.g. a bad restore)"
-        )
-
-    def serve(self, t: int, page: int, level: int) -> None:
-        cache = self.cache
-        current = cache.level_of(page)
-        if current is not None:
-            if current <= level:
-                # Hit: restore credit to the cached copy's full weight.
-                self._set_credit(page, current)
-            else:
-                cache.replace(page, level, reason="upgrade")
-                self._set_credit(page, level)
-            return
-        while cache.is_full:
-            key, victim = self._pop_victim()
-            self._offset = key  # the cumulative decrement that zeroed it
-            cache.evict(victim, reason="capacity")
         cache.fetch(page, level)
         self._set_credit(page, level)

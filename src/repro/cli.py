@@ -47,7 +47,7 @@ Examples
 ::
 
     python -m repro policies
-    python -m repro run --policies lru,landlord,waterfilling \
+    python -m repro run --policies lru,landlord-kernel,waterfilling \
         --n-pages 32 --cache-size 8 --requests 5000 --workload zipf --opt
     python -m repro run --policies randomized-multilevel --levels 3 \
         --n-pages 24 --cache-size 6 --workload multilevel --seeds 5
@@ -85,7 +85,7 @@ Examples
         --profile-period 5 --rate 80000 --on-overload shed
     python -m repro loadgen --record run.npz --rate 50000
     python -m repro replay run run.npz
-    python -m repro replay compare run.npz --policies lru,landlord
+    python -m repro replay compare run.npz --policies lru,landlord-kernel
     python -m repro opt bound --n-pages 8 --cache-size 3 --requests 400 \
         --check
     python -m repro opt bound run.npz --prefer sparse-lp --cost 1234.5
@@ -103,6 +103,7 @@ from repro.analysis.potentials import (
     verify_waterfilling_potential,
 )
 from repro.core.instance import MultiLevelInstance, WeightedPagingInstance
+from repro.errors import InvalidInstanceError
 from repro.offline import best_opt_bound
 from repro.sim import RunSpec, run_sweep
 from repro.workloads import (
@@ -120,6 +121,18 @@ __all__ = ["main"]
 _WORKLOADS = ("zipf", "uniform", "scan", "working-set", "multilevel")
 
 
+class _FlagError(Exception):
+    """Flags the CLI rejects with one stderr line and exit code 2."""
+
+
+def _flag_instance(build, *args) -> MultiLevelInstance:
+    """``build(*args)`` from size flags; an invalid shape is a flag error."""
+    try:
+        return build(*args)
+    except InvalidInstanceError as exc:
+        raise _FlagError(f"invalid instance: {exc}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -129,7 +142,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="simulate policies on a workload")
-    run.add_argument("--policies", default="lru,landlord,waterfilling",
+    run.add_argument("--policies", default="lru,landlord-kernel,waterfilling",
                      help="comma-separated policy names (see `policies`)")
     run.add_argument("--n-pages", type=int, default=32)
     run.add_argument("--cache-size", type=int, default=8)
@@ -188,7 +201,7 @@ def _build_parser() -> argparse.ArgumentParser:
     lb.add_argument("--phases", type=int, default=3)
     lb.add_argument("--w", type=float, default=5.0)
     lb.add_argument("--repetitions", type=int, default=4)
-    lb.add_argument("--policy", default="landlord")
+    lb.add_argument("--policy", default="landlord-kernel")
     lb.add_argument("--seed", type=int, default=0)
 
     opt = sub.add_parser(
@@ -553,12 +566,12 @@ def _add_service_args(parser: argparse.ArgumentParser) -> None:
 def _make_workload(args) -> tuple[MultiLevelInstance, object]:
     n, k, l = args.n_pages, args.cache_size, args.levels
     if args.workload == "multilevel" or l > 1:
-        inst = geometric_instance(n, k, max(l, 2))
+        inst = _flag_instance(geometric_instance, n, k, max(l, 2))
         seq = multilevel_stream(n, inst.n_levels, args.requests,
                                 alpha=args.alpha, rng=args.master_seed)
         return inst, seq
     weights = sample_weights(n, rng=args.master_seed, high=args.weight_high)
-    inst = WeightedPagingInstance(k, weights)
+    inst = _flag_instance(WeightedPagingInstance, k, weights)
     if args.workload == "zipf":
         seq = zipf_stream(n, args.requests, alpha=args.alpha, rng=args.master_seed)
     elif args.workload == "uniform":
@@ -590,7 +603,8 @@ def _cmd_run(args) -> int:
         print(f"offline OPT bound ({opt.method}): {opt_value:.2f}\n")
     specs = [
         RunSpec(inst, seq, policy_registry[name], n_seeds=args.seeds,
-                master_seed=args.master_seed, label=name)
+                master_seed=args.master_seed,
+                label=policy_registry[name].name)
         for name in names
     ]
     results = run_sweep(specs, parallel=args.parallel)
@@ -690,7 +704,8 @@ def _cmd_policies() -> int:
 
 
 def _cmd_verify(args) -> int:
-    inst = geometric_instance(args.n_pages, args.cache_size, args.levels)
+    inst = _flag_instance(geometric_instance, args.n_pages, args.cache_size,
+                          args.levels)
     seq = multilevel_stream(args.n_pages, args.levels, args.requests,
                             rng=args.seed)
     print(f"instance: {inst}; {len(seq)} requests\n")
@@ -1722,6 +1737,14 @@ def _cmd_top(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = _build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except _FlagError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
+
+
+def _dispatch(args) -> int:
     if args.command == "run":
         return _cmd_run(args)
     if args.command == "policies":

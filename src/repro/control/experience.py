@@ -48,6 +48,13 @@ __all__ = [
 EXPERIENCE_VERSION = 1
 
 
+def _policy_name(config: ServiceConfig) -> str:
+    """The name replay resolves: the CLI's, else the factory's registry
+    name (a bare callable has none; replay then reports it unknown)."""
+    factory = config.policy_factory
+    return config.policy_name or getattr(factory, "name", factory.__name__)
+
+
 def _meta_from_service(service: PagingService) -> dict:
     """The configuration + final-ledger facts replay needs, from a live
     service."""
@@ -55,7 +62,7 @@ def _meta_from_service(service: PagingService) -> dict:
     snap = service.snapshot()
     return {
         "version": EXPERIENCE_VERSION,
-        "policy": config.policy_name or config.policy_factory.__name__,
+        "policy": _policy_name(config),
         "cache_size": int(config.instance.cache_size),
         "n_shards": int(config.n_shards),
         "seed": int(config.seed),
@@ -339,7 +346,7 @@ class ReplayEngine:
                     profile=profile)
         snap = service.snapshot()
         return ReplayResult(
-            policy=config.policy_name or config.policy_factory.__name__,
+            policy=_policy_name(config),
             cache_size=int(config.instance.cache_size),
             eviction_cost=float(snap.eviction_cost),
             cost_by_level={str(k): float(v)

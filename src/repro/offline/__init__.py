@@ -9,7 +9,6 @@ from repro.offline.dp import (
     offline_opt_writeback,
 )
 from repro.offline.dp import offline_opt_multilevel_trace
-from repro.offline.interval_lp import IntervalLPResult, solve_interval_lp
 from repro.offline.lp import (
     OfflineLPResult,
     fractional_offline_opt,
@@ -42,8 +41,6 @@ __all__ = [
     "fractional_offline_opt",
     "solve_offline_lp",
     "offline_opt_multilevel_trace",
-    "IntervalLPResult",
-    "solve_interval_lp",
     "DEFAULT_THRESHOLDS",
     "OptSandwich",
     "RoundedSchedule",

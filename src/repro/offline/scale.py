@@ -3,8 +3,8 @@
 The dense time-indexed LP (:mod:`repro.offline.lp`) has ``2 n l T``
 variables — hopeless at the stream lengths the E-series benches run at.
 This module builds the *interval* formulation for general multi-level
-instances (the Bansal–Buchbinder–Naor LP of
-:mod:`repro.offline.interval_lp` is the ``l = 1`` special case):
+instances; at ``l = 1`` it is the Bansal–Buchbinder–Naor interval LP for
+weighted paging, whose variables are a page's inter-request intervals:
 
 * Row ``i0`` of page ``p`` (the dense LP's ``u(p, i0, t)`` timeline)
   resets to 0 exactly at requests ``(p, i_t)`` with ``i_t <= i0 + 1``.

@@ -5,7 +5,9 @@ the same authoritative :class:`~repro.core.cache.MultiLevelCache`, the same
 ``policy.serve`` contract, the same optional per-request verification — but
 driven by an unbounded *stream* of micro-batches instead of one materialized
 trace, with a monotonic per-shard logical clock and batch service times fed
-into a :class:`~repro.service.metrics.LatencyHistogram`.
+into a :class:`~repro.service.metrics.LatencyHistogram`.  Unless validation
+or an active tracer needs the per-request loop, every batch enters the
+policy through one :meth:`~repro.algorithms.base.Policy.serve_batch` call.
 
 Observability hooks (all default to no-ops):
 
@@ -48,7 +50,6 @@ class ShardEngine:
         "shard_id", "instance", "policy", "ledger", "cache", "latency",
         "validate", "n_batches", "profiler", "tracer",
         "_m_requests", "_m_hits", "_m_misses", "_m_batches", "_t",
-        "_serve_batch",
     )
 
     def __init__(
@@ -97,11 +98,6 @@ class ShardEngine:
         ).labels(shard_label)
         self._t = 0
         policy.bind(instance, self.cache, rng)
-        # Columnar policies expose serve_batch: the whole-batch fast path
-        # used when neither validation nor active tracing needs the
-        # per-request loop.  Cached here (and refreshed on restore) so the
-        # hot path pays one attribute load, not a getattr.
-        self._serve_batch = getattr(policy, "serve_batch", None)
 
     @property
     def n_requests(self) -> int:
@@ -174,18 +170,9 @@ class ShardEngine:
                 trace_request(t, page, level, hit)
                 serve(t, page, level)
                 t += 1
-        elif self._serve_batch is not None:
-            # Kernel fast path: the policy serves the whole micro-batch
-            # from its columnar state with semantics identical to the
-            # per-request loop below (pinned by the equivalence suite).
-            hits = self._serve_batch(t, pages, levels)
-            t += int(pages.size)
         else:
-            for page, level in zip(pages.tolist(), levels.tolist()):
-                if serves(page, level):
-                    hits += 1
-                serve(t, page, level)
-                t += 1
+            hits = self.policy.serve_batch(t, pages, levels)
+            t += int(pages.size)
         n = t - self._t
         self._t = t
         ledger.n_hits += hits
@@ -248,12 +235,7 @@ class ShardEngine:
         ledger = policy.cache.ledger
         self.cache.instance = self.instance
         policy.instance = self.instance
-        # Columnar policies cache weight views derived from the instance;
-        # re-derive them from the live (shared, read-only) arrays.
-        rebind = getattr(policy, "rebind_instance", None)
-        if rebind is not None:
-            rebind()
-        self._serve_batch = getattr(policy, "serve_batch", None)
+        policy.rebind_instance()
         # Transplant the live exposition handles onto the restored ledger.
         ledger._m_evictions = old_ledger._m_evictions
         ledger._m_cost = old_ledger._m_cost

@@ -10,10 +10,9 @@ moves each engine into its own **spawned** process:
   registry; the parent owns exposition) and serves a tiny op loop over a
   :class:`multiprocessing.connection.Connection`: ``batch`` / ``checkpoint``
   / ``restore`` / ``stop``.  Because the child owns a real
-  ``ShardEngine``, the columnar ``serve_batch`` fast path (see
-  :mod:`repro.algorithms.kernels`) engages in the worker automatically
-  whenever the configured policy exposes it — each micro-batch arriving
-  over the pipe is already the numpy array the kernel consumes.
+  ``ShardEngine``, each micro-batch arriving over the pipe goes to the
+  policy's ``serve_batch`` as the numpy arrays the columnar kernels
+  (:mod:`repro.algorithms.kernels`) consume.
 * :class:`ProcEngine` — the parent-side handle.  It mimics exactly the
   slice of the ``ShardEngine`` interface the service uses
   (``process_batch``, ``capture_state`` / ``restore_from``, ``snapshot``,

@@ -10,9 +10,11 @@ invariants after every request:
 
 A policy that cheats raises :class:`~repro.errors.CacheInvariantError`
 immediately, with the failing time step in the message.  Pass
-``validate=False`` on hot benchmark paths: the fast loop skips every
-per-request invariant check and batches the hit/miss accounting, so the
-only per-request work left is the serve call plus one dict lookup.
+``validate=False`` on hot benchmark paths: the fast path skips every
+per-request invariant check and feeds the stream to
+:meth:`~repro.algorithms.base.Policy.serve_batch` in chunks, which the
+columnar kernels serve whole and every other policy serves with the
+plain per-request loop.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from repro.sim.metrics import RunResult
 
 __all__ = ["simulate", "simulate_writeback"]
 
-#: Chunk size for the kernel batch fast path in :func:`simulate`.
-_KERNEL_CHUNK = 4096
+#: Chunk size for the ``serve_batch`` fast path in :func:`simulate`.
+_BATCH_CHUNK = 4096
 
 
 def simulate(
@@ -119,7 +121,6 @@ def simulate(
             check()
     else:
         hits = 0
-        serve_batch = getattr(policy, "serve_batch", None)
         if record_events:
             set_time = ledger.set_time
             for t, (page, level) in enumerate(zip(pages, levels)):
@@ -127,19 +128,15 @@ def simulate(
                 if serves(page, level):
                     hits += 1
                 serve(t, page, level)
-        elif serve_batch is not None:
-            # Columnar policies serve whole chunks from their numpy state;
-            # chunking (rather than one giant call) keeps the kernel's
-            # batch classification fresh against the evolving cache.
-            p_arr, l_arr = seq.pages, seq.levels
-            for lo in range(0, len(pages), _KERNEL_CHUNK):
-                hi = lo + _KERNEL_CHUNK
-                hits += serve_batch(lo, p_arr[lo:hi], l_arr[lo:hi])
         else:
-            for t, (page, level) in enumerate(zip(pages, levels)):
-                if serves(page, level):
-                    hits += 1
-                serve(t, page, level)
+            # Chunking (rather than one giant call) keeps a columnar
+            # kernel's batch classification fresh against the evolving
+            # cache.
+            serve_batch = policy.serve_batch
+            p_arr, l_arr = seq.pages, seq.levels
+            for lo in range(0, len(pages), _BATCH_CHUNK):
+                hi = lo + _BATCH_CHUNK
+                hits += serve_batch(lo, p_arr[lo:hi], l_arr[lo:hi])
         ledger.n_hits += hits
         ledger.n_misses += len(pages) - hits
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.algorithms import (
     FIFOPolicy,
-    LandlordPolicy,
+    KernelLandlordPolicy,
     LRUPolicy,
     MarkingPolicy,
     RandomEvictionPolicy,
@@ -206,7 +206,7 @@ class TestLandlord:
     def test_prefers_evicting_light_pages(self):
         inst = WeightedPagingInstance(2, [100.0, 1.0, 1.0, 1.0])
         seq = RequestSequence.from_pages([0, 1, 2, 3, 2, 3])
-        r = simulate(inst, seq, LandlordPolicy(), record_events=True)
+        r = simulate(inst, seq, KernelLandlordPolicy(), record_events=True)
         assert 0 not in {e.page for e in r.events}
 
     def test_beats_lru_on_weighted_adversary(self):
@@ -217,7 +217,7 @@ class TestLandlord:
         inst = WeightedPagingInstance(k, w)
         seq = weighted_phase_adversary(light, heavy, k, phases=20, light_burst=8)
         lru = simulate(inst, seq, LRUPolicy())
-        ll = simulate(inst, seq, LandlordPolicy())
+        ll = simulate(inst, seq, KernelLandlordPolicy())
         assert ll.cost < lru.cost
 
     def test_hit_restores_credit(self):
@@ -227,7 +227,7 @@ class TestLandlord:
         # Without the restore both credits would hit zero and 1 (first in
         # iteration order) would be evicted instead.
         seq = RequestSequence.from_pages([0, 1, 2, 1, 3])
-        r = simulate(inst, seq, LandlordPolicy(), record_events=True)
+        r = simulate(inst, seq, KernelLandlordPolicy(), record_events=True)
         assert [e.page for e in r.events] == [0, 2]
 
 

@@ -1,19 +1,21 @@
-"""The lazy-deletion heaps must stay bounded — and compaction must be invisible.
+"""The water-filling lazy-deletion heap must stay bounded — and compaction
+must be invisible.
 
-Before the compaction fix, every Landlord hit (credit restore) and every
-water-filling upgrade pushed a fresh heap entry whose stale predecessor
-was never removed: on hit-heavy streams the heap grew O(total requests)
-— a memory leak in a long-lived serving shard.  Compacting whenever
-``len(heap) > 2 * len(live)`` bounds the heap at ``2k + 1`` entries with
-O(1) amortized work per push.
+Before the compaction fix, every water-filling upgrade pushed a fresh
+heap entry whose stale predecessor was never removed: on hit-heavy
+streams the heap grew O(total requests) — a memory leak in a long-lived
+serving shard.  Compacting whenever ``len(heap) > 2 * len(live)`` bounds
+the heap at ``2k + 1`` entries with O(1) amortized work per push.  (The
+columnar kernels keep exactly one heap entry per cached slot and need no
+compaction; ``tests/algorithms/test_kernel_equivalence.py`` pins that.)
 
 Two properties are pinned here:
 
 * **bounded** — a 100k-request hit-heavy trace never observes the heap
   above ``2k + 1`` entries (the pre-fix heap ends ~hit-count entries
   deep);
-* **invisible** — the compacted policies remain request-by-request
-  ``==``-equal to their O(k)-scan references on the same trace: dropping
+* **invisible** — the compacted policy remains request-by-request
+  ``==``-equal to its O(k)-scan reference on the same trace: dropping
   stale entries must never change a victim, a cost, or a tie-break.
 
 A second group pins the heap-exhaustion failure mode: a full cache whose
@@ -26,12 +28,7 @@ cache occupancy.
 import numpy as np
 import pytest
 
-from repro.algorithms import (
-    HeapWaterFillingPolicy,
-    LandlordPolicy,
-    LandlordRefPolicy,
-    WaterFillingPolicy,
-)
+from repro.algorithms import HeapWaterFillingPolicy, WaterFillingPolicy
 from repro.core.cache import MultiLevelCache
 from repro.core.instance import MultiLevelInstance, WeightedPagingInstance
 from repro.core.ledger import CostLedger
@@ -40,10 +37,7 @@ from repro.workloads import sample_weights, zipf_stream
 
 N_PAGES, K, STREAM_LEN = 256, 64, 100_000
 
-PAIRS = [
-    (LandlordPolicy, LandlordRefPolicy),
-    (HeapWaterFillingPolicy, WaterFillingPolicy),
-]
+PAIRS = [(HeapWaterFillingPolicy, WaterFillingPolicy)]
 
 
 def _hit_heavy_case():
@@ -51,8 +45,7 @@ def _hit_heavy_case():
 
     Multi-level weights make some hot re-requests land at a *smaller*
     level than the cached copy, so the water-filling heap sees a steady
-    upgrade stream (its leak source) and Landlord sees credit restores
-    (its leak source).
+    upgrade stream (its leak source).
     """
     rng = np.random.default_rng(0)
     levels = 3
@@ -89,8 +82,8 @@ class TestHeapBounded:
         # The stream really is hit-heavy (the leak's worst case) ...
         hit_like = len(pages) - ledger.n_fetches
         assert hit_like > 0.5 * len(pages)
-        # ... and pre-fix the heap would have held one entry per credit
-        # restore / upgrade; now it never exceeds the compaction bound.
+        # ... and pre-fix the heap would have held one entry per upgrade;
+        # now it never exceeds the compaction bound.
         assert max_heap <= 2 * K + 1, (
             f"{heap_cls.name} heap reached {max_heap} entries "
             f"(bound {2 * K + 1})"
@@ -110,8 +103,7 @@ class TestHeapBounded:
                     for e in ref_ledger.events]
         assert dict(policy.cache.items()) == dict(ref.cache.items())
 
-    @pytest.mark.parametrize("heap_cls", [LandlordPolicy,
-                                          HeapWaterFillingPolicy])
+    @pytest.mark.parametrize("heap_cls", [HeapWaterFillingPolicy])
     def test_compact_drops_only_stale_entries(self, heap_cls):
         inst = WeightedPagingInstance(4, sample_weights(16, rng=0))
         policy = heap_cls()
@@ -126,8 +118,7 @@ class TestHeapBounded:
 
 
 class TestHeapExhaustion:
-    @pytest.mark.parametrize("heap_cls", [LandlordPolicy,
-                                          HeapWaterFillingPolicy])
+    @pytest.mark.parametrize("heap_cls", [HeapWaterFillingPolicy])
     def test_exhausted_heap_raises_invariant_error(self, heap_cls):
         inst = WeightedPagingInstance(2, sample_weights(8, rng=0))
         policy = heap_cls()

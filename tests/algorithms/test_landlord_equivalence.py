@@ -1,10 +1,12 @@
-"""Heap Landlord must be *exactly* the reference Landlord, request by request.
+"""The production Landlord must be *exactly* the reference, request by request.
 
 The rewrite replaced the O(k) credit-decrement loop (and its
 ``credit <= 1e-12`` drift epsilon) with the global-offset death-key scheme.
-Both implementations now share exact ``(death, seq)`` arithmetic, so their
-behavior is compared with ``==`` — no approx, no tolerance.  The same
-harness re-checks the water-filling pair, which pioneered the trick.
+The columnar kernel (``landlord-kernel``, registered also as ``landlord``)
+and the scan oracle (``landlord-ref``) share exact ``(death, seq)``
+arithmetic, so their behavior is compared with ``==`` — no approx, no
+tolerance.  The same harness re-checks the water-filling pair, which
+pioneered the trick.
 """
 
 import numpy as np
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.algorithms import (
     HeapWaterFillingPolicy,
-    LandlordPolicy,
+    KernelLandlordPolicy,
     LandlordRefPolicy,
     WaterFillingPolicy,
     policy_registry,
@@ -66,7 +68,8 @@ def lockstep_divergence(inst, seq, make_a, make_b):
 
 class TestLandlordEquivalence:
     def _check(self, inst, seq):
-        assert_exactly_equivalent(inst, seq, LandlordPolicy, LandlordRefPolicy)
+        assert_exactly_equivalent(inst, seq, KernelLandlordPolicy,
+                                  LandlordRefPolicy)
 
     def test_weighted_zipf(self):
         inst = WeightedPagingInstance(5, np.arange(1.0, 21.0))
@@ -89,7 +92,7 @@ class TestLandlordEquivalence:
 
     def test_tied_credits_break_identically(self):
         # Uniform weights force constant death-key ties: only the shared
-        # (death, seq) tie-break keeps heap and scan in agreement.  The
+        # (death, seq) tie-break keeps kernel and scan in agreement.  The
         # old epsilon implementation diverged exactly here.
         inst = WeightedPagingInstance.uniform(10, 4)
         self._check(inst, zipf_stream(10, 1500, alpha=0.5, rng=9))
@@ -97,12 +100,15 @@ class TestLandlordEquivalence:
     def test_request_by_request_lockstep(self):
         inst = WeightedPagingInstance(6, sample_weights(24, rng=4, high=32.0))
         seq = zipf_stream(24, 600, rng=7)
-        t = lockstep_divergence(inst, seq, LandlordPolicy, LandlordRefPolicy)
+        t = lockstep_divergence(inst, seq, KernelLandlordPolicy,
+                                LandlordRefPolicy)
         assert t is None, f"cache contents diverged at request {t}"
 
     def test_ref_registered(self):
         assert policy_registry["landlord-ref"] is LandlordRefPolicy
-        assert policy_registry["landlord"] is LandlordPolicy
+        # The old name is an alias: flags and recordings keep resolving.
+        assert policy_registry["landlord"] is KernelLandlordPolicy
+        assert KernelLandlordPolicy.name == "landlord-kernel"
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=40, deadline=None)
@@ -145,18 +151,22 @@ class TestNoEpsilon:
     def test_victim_credit_is_exactly_zero(self):
         """The death-key trick makes the victim's residual credit exactly
         0.0: the offset jumps *to* the victim's death key, so no epsilon
-        compare is ever needed.  Checked by instrumenting the heap pop."""
+        compare is ever needed.  Checked by instrumenting the eviction."""
         residuals = []
 
-        class Probe(LandlordPolicy):
+        class Probe(KernelLandlordPolicy):
             name = "landlord-probe"
 
-            def _pop_victim(self):
-                key, page = super()._pop_victim()
+            def _evict_victim(self):
+                before = self._offset
+                slot = super()._evict_victim()
                 # Residual credit at eviction = death - new offset = 0.0.
-                residuals.append(key - key)
-                assert key >= self._offset  # credits never go negative
-                return key, page
+                residuals.append(self._death[slot] - self._offset)
+                assert self._offset >= before
+                # Credits never go negative: no live key is below it.
+                assert all(self._death[self._page_slot[p]] >= self._offset
+                           for p in self._contents)
+                return slot
 
         inst = WeightedPagingInstance(4, sample_weights(16, rng=1, high=16.0))
         seq = zipf_stream(16, 500, rng=2)
@@ -169,7 +179,7 @@ class TestNoEpsilon:
         death keys comparable across time."""
         offsets = []
 
-        class Probe(LandlordPolicy):
+        class Probe(KernelLandlordPolicy):
             name = "landlord-offset-probe"
 
             def serve(self, t, page, level):

@@ -10,6 +10,7 @@ cost diffs exact rather than workload-resampled.
 import numpy as np
 import pytest
 
+from repro.algorithms import KernelWaterFillingPolicy
 from repro.control import Experience, ExperienceRecorder, ReplayEngine
 from repro.core.instance import WeightedPagingInstance
 from repro.errors import ServiceConfigError
@@ -123,6 +124,27 @@ class TestReplayExactness:
     def test_unknown_policy_raises(self, recorded):
         with pytest.raises(ServiceConfigError):
             ReplayEngine(recorded[0]).run(policy="nope")
+
+    def test_factory_built_service_replays(self):
+        # A library config names no policy: the recording must carry the
+        # factory's registry name, or replay cannot rebuild the policy.
+        inst = WeightedPagingInstance(12, sample_weights(N_PAGES, rng=0,
+                                                         high=16.0))
+        seq = zipf_stream(N_PAGES, 1500, rng=11)
+        service = PagingService(ServiceConfig(
+            instance=inst, policy_factory=KernelWaterFillingPolicy,
+            n_shards=4, batch_size=128, seed=7, backend="inline"))
+        recorder = ExperienceRecorder(4)
+        service.attach_recorder(recorder)
+        for lo in range(0, len(seq), 128):
+            service.submit_batch(seq.pages[lo:lo + 128],
+                                 seq.levels[lo:lo + 128])
+        experience = recorder.experience(service)
+        assert experience.meta["policy"] == "waterfilling-kernel"
+        engine = ReplayEngine(experience)
+        result = engine.run()
+        assert result.policy == "waterfilling-kernel"
+        assert engine.matches_live(result)
 
 
 class TestPersistenceRoundTrip:

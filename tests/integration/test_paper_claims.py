@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import (
-    LandlordPolicy,
+    KernelLandlordPolicy,
     LRUPolicy,
     PrimalDualWeightedPaging,
     RandomizedMultiLevelPolicy,
@@ -147,7 +147,7 @@ class TestTheorem13_LowerBoundMechanism:
         system, _ = planted_cover_system(12, 6, 3, rng=15)
         elements = [0, 4, 8, 11]
         red = reduce_to_rw_paging(system, elements, w=4.0, repetitions=5)
-        r = simulate(red.instance, red.sequence, LandlordPolicy(), seed=16,
+        r = simulate(red.instance, red.sequence, KernelLandlordPolicy(), seed=16,
                      record_events=True)
         cover = extract_cover(red, r.events)
         assert system.is_cover(cover, elements)

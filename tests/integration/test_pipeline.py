@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import (
-    LandlordPolicy,
+    KernelLandlordPolicy,
     LRUPolicy,
     RandomizedMultiLevelPolicy,
     RandomizedWeightedPagingPolicy,
@@ -33,7 +33,7 @@ from repro.workloads import (
 
 ALL_ML_POLICIES = [
     LRUPolicy,
-    LandlordPolicy,
+    KernelLandlordPolicy,
     WaterFillingPolicy,
     RandomizedMultiLevelPolicy,
 ]

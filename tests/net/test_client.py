@@ -309,6 +309,11 @@ class RedialServer:
 
     def close(self):
         self.kill_connections()
+        # close() alone does not wake the thread blocked in accept().
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         self._listener.close()
         self._thread.join(2.0)
 

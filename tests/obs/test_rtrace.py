@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.algorithms import LandlordPolicy
+from repro.algorithms import KernelLandlordPolicy
 from repro.cluster import ClusterMap, ClusterProxy
 from repro.core.instance import WeightedPagingInstance
 from repro.net import NetServer, run_network_load
@@ -26,7 +26,7 @@ from repro.workloads import sample_weights, zipf_stream
 
 def make_service(**kwargs):
     inst = WeightedPagingInstance(16, sample_weights(64, rng=0, high=16.0))
-    config = ServiceConfig(instance=inst, policy_factory=LandlordPolicy,
+    config = ServiceConfig(instance=inst, policy_factory=KernelLandlordPolicy,
                            n_shards=2, batch_size=256, **kwargs)
     return PagingService(config)
 
@@ -317,7 +317,7 @@ class TestNetworkedWaterfall:
         backends = []
         for b in range(2):
             svc = PagingService(ServiceConfig(
-                instance=inst, policy_factory=LandlordPolicy,
+                instance=inst, policy_factory=KernelLandlordPolicy,
                 n_shards=n_shards, batch_size=256, backend="thread"))
             svc.enable_request_tracing(tmp_path / f"backend-{b}",
                                        sample=1.0, seed=TRACE_SEED)

@@ -15,7 +15,6 @@ from repro.offline import (
     offline_opt_multilevel,
     opt_sandwich,
     round_at,
-    solve_interval_lp,
     solve_sparse_lp,
     sparse_fractional_opt,
     threshold_round,
@@ -48,12 +47,22 @@ class TestSparseLP:
         seq = RequestSequence.from_pages([0, 1, 0, 1])
         assert sparse_fractional_opt(inst, seq) == pytest.approx(11.0, abs=1e-6)
 
+    def test_single_eviction(self):
+        inst = WeightedPagingInstance(2, [4.0, 2.0, 1.0])
+        seq = RequestSequence.from_pages([0, 1, 2])
+        res = solve_sparse_lp(inst, seq)
+        # The binding row forces one unit spread over pages 0 and 1; the
+        # cheapest is to evict page 1 (weight 2).
+        assert res.value == pytest.approx(2.0, abs=1e-7)
+
     def test_matches_interval_lp_single_level(self):
+        # At l = 1 the sparse LP is the classic interval LP, whose optimum
+        # is the time-indexed (dense) LP's.
         inst = WeightedPagingInstance(2, [4.0, 2.0, 1.0, 3.0])
         seq = zipf_stream(4, 60, rng=0)
         sparse = sparse_fractional_opt(inst, seq)
-        interval = solve_interval_lp(inst, seq).value
-        assert sparse == pytest.approx(interval, abs=1e-5)
+        dense = fractional_offline_opt(inst, seq)
+        assert sparse == pytest.approx(dense, abs=1e-5)
 
     def test_size_is_linear_in_stream(self):
         inst = WeightedPagingInstance(2, [4.0, 2.0, 1.0, 3.0])

@@ -1,8 +1,10 @@
 """ShardEngine's kernel fast path: when it engages, and that it's invisible.
 
-``process_batch`` hands whole micro-batches to a columnar policy's
-``serve_batch`` only when neither validation nor active tracing needs the
-per-request loop.  The contract pinned here:
+``process_batch`` hands each whole micro-batch to the policy's
+``serve_batch`` — the columnar kernels' whole-batch path, or the default
+per-request loop of :class:`~repro.algorithms.base.Policy` — whenever
+neither validation nor active tracing needs the engine's own per-request
+loop.  The contract pinned here:
 
 * fast path and the ``validate=True`` scalar fallback produce identical
   ledgers and cache contents,
@@ -11,8 +13,8 @@ per-request loop.  The contract pinned here:
   indistinguishable in the observability plane too,
 * inline / thread / process backends agree on the exact cost with kernel
   policies, like every other policy,
-* checkpoint capture/restore round-trips the columnar state and refreshes
-  the engine's cached ``serve_batch`` binding.
+* checkpoint capture/restore round-trips the columnar state onto the
+  engine's live instance.
 """
 
 import numpy as np
@@ -23,6 +25,7 @@ from repro.algorithms import (
     KernelLandlordPolicy,
     KernelWaterFillingPolicy,
     LandlordRefPolicy,
+    Policy,
     WaterFillingPolicy,
 )
 from repro.core.instance import WeightedPagingInstance
@@ -44,17 +47,54 @@ def _workload(length=1500):
     return zipf_stream(32, length, alpha=0.9, rng=2)
 
 
+def _spy_calls(policy) -> dict[str, int]:
+    """Count ``serve_batch`` / ``serve`` calls that go through ``policy``."""
+    calls = {"serve_batch": 0, "serve": 0}
+    for name in calls:
+        method = getattr(policy, name)
+
+        def counted(*args, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(*args)
+
+        setattr(policy, name, counted)
+    return calls
+
+
+def _spied_run(policy, *, validate=False, length=1500, batch=100):
+    """Serve the workload through one engine; returns (engine, calls)."""
+    inst = WeightedPagingInstance(8, sample_weights(32, rng=0, high=16.0))
+    engine = ShardEngine(0, inst, policy, np.random.default_rng(0),
+                         validate=validate)
+    calls = _spy_calls(engine.policy)
+    seq = _workload(length)
+    for lo in range(0, len(seq), batch):
+        engine.process_batch(seq.pages[lo:lo + batch],
+                             seq.levels[lo:lo + batch])
+    assert engine.n_requests == len(seq)
+    return engine, calls
+
+
 class TestFastPathDispatch:
     @pytest.mark.parametrize("policy", KERNELS)
     def test_fast_path_engages_without_validation(self, policy):
-        svc = make_service(policy)
-        assert svc.engines[0]._serve_batch is not None
-        svc.stop()
+        # No validation, no active tracer: exactly one serve_batch call
+        # per batch and not a single per-request serve.
+        engine, calls = _spied_run(policy())
+        assert engine.n_batches == 15
+        assert calls == {"serve_batch": 15, "serve": 0}
 
     def test_scalar_policies_have_no_fast_path(self):
-        svc = make_service(HeapWaterFillingPolicy)
-        assert svc.engines[0]._serve_batch is None
-        svc.stop()
+        # A scalar policy enters the same way, one serve_batch per batch;
+        # Policy's default serve_batch is the per-request serve loop.
+        assert HeapWaterFillingPolicy.serve_batch is Policy.serve_batch
+        _, calls = _spied_run(HeapWaterFillingPolicy())
+        assert calls == {"serve_batch": 15, "serve": 1500}
+
+    @pytest.mark.parametrize("policy", KERNELS)
+    def test_validation_keeps_the_per_request_loop(self, policy):
+        _, calls = _spied_run(policy(), validate=True, length=300)
+        assert calls == {"serve_batch": 0, "serve": 300}
 
     @pytest.mark.parametrize("policy", KERNELS)
     @pytest.mark.parametrize("batch", [1, 7, 256])
@@ -161,9 +201,6 @@ class TestKernelCheckpoint:
         target = engine(policy_cls())
         target.restore_from(payload, mark)
         assert target.n_requests == cut
-        # The cached fast-path binding must survive the restore.
-        assert target._serve_batch is not None
-        assert target._serve_batch.__self__ is target.policy
         # The restored policy shares the engine's live instance arrays.
         assert target.policy.instance is inst
 

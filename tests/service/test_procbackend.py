@@ -3,7 +3,7 @@ and the stricter lifecycle rules the pipe protocol imposes."""
 
 import pytest
 
-from repro.algorithms import LandlordPolicy
+from repro.algorithms import KernelLandlordPolicy
 from repro.core.instance import WeightedPagingInstance
 from repro.errors import ServiceConfigError, ServiceStateError
 from repro.faults import FaultPlan
@@ -16,7 +16,7 @@ N_REQUESTS = 4000
 
 def make_service(**kwargs):
     inst = WeightedPagingInstance(16, sample_weights(64, rng=0, high=16.0))
-    config = ServiceConfig(instance=inst, policy_factory=LandlordPolicy,
+    config = ServiceConfig(instance=inst, policy_factory=KernelLandlordPolicy,
                            n_shards=N_SHARDS, batch_size=128, **kwargs)
     return PagingService(config)
 

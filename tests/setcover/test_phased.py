@@ -1,9 +1,8 @@
 """Tests for the Theorem 3.6 phased lower-bound construction."""
 
-import numpy as np
 import pytest
 
-from repro.algorithms import LandlordPolicy, LRUPolicy
+from repro.algorithms import KernelLandlordPolicy, LRUPolicy
 from repro.setcover import (
     greedy_cover,
     hard_instance_family,
@@ -52,7 +51,7 @@ class TestConstruction:
 
 
 class TestPhaseCovers:
-    @pytest.mark.parametrize("factory", [LRUPolicy, LandlordPolicy])
+    @pytest.mark.parametrize("factory", [LRUPolicy, KernelLandlordPolicy])
     def test_every_phase_commits_a_valid_cover(self, factory):
         fam, ph = make_phased(phases=3)
         r = simulate(ph.instance, ph.sequence, factory(), seed=0,
@@ -67,8 +66,8 @@ class TestPhaseCovers:
         # in (almost) every phase, so total cost scales with phases.
         fam, ph3 = make_phased(phases=2, rng=3)
         _, ph6 = make_phased(phases=6, rng=3)
-        c2 = simulate(ph3.instance, ph3.sequence, LandlordPolicy(), seed=0).cost
-        c6 = simulate(ph6.instance, ph6.sequence, LandlordPolicy(), seed=0).cost
+        c2 = simulate(ph3.instance, ph3.sequence, KernelLandlordPolicy(), seed=0).cost
+        c6 = simulate(ph6.instance, ph6.sequence, KernelLandlordPolicy(), seed=0).cost
         assert c6 >= 2.0 * c2
 
     def test_covers_exceed_offline(self):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.algorithms import LandlordPolicy, LRUPolicy
+from repro.algorithms import KernelLandlordPolicy, LRUPolicy
 from repro.core.requests import Request
 from repro.errors import InvalidInstanceError
 from repro.setcover import (
@@ -90,7 +90,7 @@ class TestConstruction:
 class TestSoundnessMechanism:
     """Any reasonable-cost run's evicted write pages must form a cover."""
 
-    @pytest.mark.parametrize("policy_cls", [LRUPolicy, LandlordPolicy])
+    @pytest.mark.parametrize("policy_cls", [LRUPolicy, KernelLandlordPolicy])
     def test_eviction_trace_encodes_cover(self, policy_cls):
         sys_, _ = planted_cover_system(12, 6, 3, rng=2)
         elems = list(np.random.default_rng(3).integers(0, 12, size=4))
@@ -110,7 +110,7 @@ class TestSoundnessMechanism:
         elems = list(range(0, 12, 3))
         red = reduce_to_rw_paging(sys_, elems, w=4.0, repetitions=6)
         bound = completeness_bound(red, len(greedy_cover(sys_, elems)))
-        r = simulate(red.instance, red.sequence, LandlordPolicy(), seed=0)
+        r = simulate(red.instance, red.sequence, KernelLandlordPolicy(), seed=0)
         assert r.cost <= 10.0 * bound
 
     def test_extract_cover_filters_read_copies(self):

@@ -9,19 +9,21 @@ class TestPoliciesCommand:
     def test_lists_policies(self, capsys):
         assert main(["policies"]) == 0
         out = capsys.readouterr().out
-        for name in ["lru", "landlord", "waterfilling", "randomized-multilevel"]:
+        for name in ["lru", "landlord-kernel", "waterfilling",
+                     "randomized-multilevel"]:
             assert name in out
 
 
 class TestRunCommand:
     def test_basic_run(self, capsys):
+        # ``landlord`` is an alias; the report names the canonical policy.
         rc = main([
             "run", "--policies", "lru,landlord", "--n-pages", "10",
             "--cache-size", "3", "--requests", "200",
         ])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "lru" in out and "landlord" in out
+        assert "lru" in out and "landlord-kernel" in out
 
     def test_with_opt_bound(self, capsys):
         rc = main([
@@ -81,6 +83,20 @@ class TestVerifyCommand:
         assert rc == 0
         out = capsys.readouterr().out
         assert out.count("HOLDS") == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--n-pages", "4", "--cache-size", "8"],
+    ["verify", "--n-pages", "4", "--cache-size", "8"],
+    ["serve", "--n-pages", "4", "--k", "8"],
+    ["loadgen", "--n-pages", "4", "--k", "0"],
+    ["opt", "bound", "--n-pages", "4", "--cache-size", "8"],
+], ids=["run", "verify", "serve", "loadgen", "opt-bound"])
+def test_invalid_instance_shape_exits_2_with_one_line(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid instance: cache_size")
+    assert err.count("\n") == 1  # one line, no traceback
 
 
 class TestMRCCommand:
@@ -228,7 +244,7 @@ class TestTraceCommands:
 
     def test_run_trace_requires_single_policy_and_seed(self, tmp_path, capsys):
         rc = main([
-            "run", "--policies", "lru,landlord", "--requests", "100",
+            "run", "--policies", "lru,landlord-kernel", "--requests", "100",
             "--trace", str(tmp_path / "t.jsonl"),
         ])
         assert rc == 2
