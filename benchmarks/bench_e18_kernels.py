@@ -20,7 +20,13 @@ and records requests/s for each implementation of a family:
   scalar status-quo baseline the E-series benches configure today,
 * the lazy-heap scalar (``waterfilling-heap``; Landlord has none left —
   its ``landlord`` name is an alias of the kernel),
-* the columnar kernel.
+* the columnar kernel,
+* the water-filling kernel again with 1% decision tracing
+  (``enable_tracing(..., sample=0.01)``): sampled requests run the
+  kernel's per-request ``serve``, the rest its ``serve_batch``.  This row
+  is informational — its ratio to the untraced kernel is recorded as
+  ``kernel_traced_1pct_vs_untraced`` with no floor (the >= 0.9 tracing
+  gate belongs to the E21 ladder).
 
 Asserted shape claims:
 
@@ -37,6 +43,7 @@ Asserted shape claims:
 
 from __future__ import annotations
 
+from tempfile import TemporaryDirectory
 from time import perf_counter
 
 from repro.algorithms import policy_registry
@@ -52,6 +59,7 @@ BATCH = 512
 STREAM_LEN = 40_000
 SPEEDUP_FLOOR = 3.0  # kernel vs scan baseline, enforced unconditionally
 TARGET_REQ_S = 1_000_000  # aspirational single-shard target (informational)
+TRACE_SAMPLE = 0.01  # decision-trace rate of the informational traced row
 
 SHAPES = {
     "e10": {"n_pages": 400, "k": 64, "alpha": 0.9},
@@ -61,7 +69,8 @@ SHAPES = {
 FAMILIES = {
     "landlord": {"baseline": "landlord-ref", "kernel": "landlord-kernel"},
     "waterfilling": {"baseline": "waterfilling", "heap": "waterfilling-heap",
-                     "kernel": "waterfilling-kernel"},
+                     "kernel": "waterfilling-kernel",
+                     "traced": "waterfilling-kernel"},
 }
 
 
@@ -73,20 +82,24 @@ def _workload(shape: dict):
     return inst, seq
 
 
-def _run_inline(inst, seq, policy_name: str) -> tuple[float, float]:
+def _run_inline(inst, seq, policy_name: str,
+                trace_sample: float = 0.0) -> tuple[float, float]:
     """One inline single-shard run: (eviction cost, requests/s)."""
     svc = PagingService(ServiceConfig(
         instance=inst, policy_factory=policy_registry[policy_name],
         n_shards=1, batch_size=BATCH, seed=0,
         policy_name=policy_name, backend="inline",
     ))
-    started = perf_counter()
-    for lo in range(0, len(seq), BATCH):
-        svc.submit_batch(seq.pages[lo:lo + BATCH],
-                         seq.levels[lo:lo + BATCH])
-    elapsed = perf_counter() - started
-    cost = svc.total_cost()
-    svc.stop()
+    with TemporaryDirectory() as trace_dir:
+        if trace_sample:
+            svc.enable_tracing(trace_dir, sample=trace_sample, seed=0)
+        started = perf_counter()
+        for lo in range(0, len(seq), BATCH):
+            svc.submit_batch(seq.pages[lo:lo + BATCH],
+                             seq.levels[lo:lo + BATCH])
+        elapsed = perf_counter() - started
+        cost = svc.total_cost()
+        svc.stop()
     return cost, len(seq) / elapsed
 
 
@@ -100,6 +113,7 @@ def run_experiment() -> tuple[Table, dict]:
     runs: dict[str, dict] = {}
     speedups: dict[str, list[float]] = {f: [] for f in FAMILIES}
     heap_ratios: list[float] = []
+    traced_ratios: list[float] = []
     competitive_ratios: dict[str, dict[str, float]] = {}
     best_kernel = 0.0
     max_ratio = 0.0
@@ -113,9 +127,12 @@ def run_experiment() -> tuple[Table, dict]:
         for family, names in FAMILIES.items():
             cell: dict[str, dict] = {}
             for tier, name in names.items():
-                cost, rate = _run_inline(inst, seq, name)
+                sample = TRACE_SAMPLE if tier == "traced" else 0.0
+                cost, rate = _run_inline(inst, seq, name, sample)
                 cell[tier] = {"policy": name, "eviction_cost": cost,
                               "throughput_req_s": rate}
+                if sample:
+                    cell[tier]["trace_sample"] = sample
             base_rate = cell["baseline"]["throughput_req_s"]
             speedup = cell["kernel"]["throughput_req_s"] / base_rate
             speedups[family].append(speedup)
@@ -125,8 +142,11 @@ def run_experiment() -> tuple[Table, dict]:
                 ratio = competitive_ratio(cell[tier]["eviction_cost"],
                                           bound.value)
                 cell[tier]["competitive_ratio"] = ratio
+                label = cell[tier]["policy"]
+                if tier == "traced":
+                    label += f" +{TRACE_SAMPLE:.0%} trace"
                 table.add_row(
-                    shape_name, family, cell[tier]["policy"],
+                    shape_name, family, label,
                     cell[tier]["eviction_cost"], ratio,
                     int(cell[tier]["throughput_req_s"]),
                     "-" if tier == "baseline" else
@@ -145,6 +165,11 @@ def run_experiment() -> tuple[Table, dict]:
                            / cell["heap"]["throughput_req_s"])
                 heap_ratios.append(vs_heap)
                 shape_runs[family]["kernel_vs_heap"] = vs_heap
+            if "traced" in cell:
+                vs_untraced = (cell["traced"]["throughput_req_s"]
+                               / cell["kernel"]["throughput_req_s"])
+                traced_ratios.append(vs_untraced)
+                shape_runs[family]["kernel_traced_vs_untraced"] = vs_untraced
         runs[shape_name] = {"workload": {**shape, "requests": STREAM_LEN,
                                          "batch_size": BATCH},
                             "opt_bound": opt_bound_payload(bound),
@@ -164,6 +189,9 @@ def run_experiment() -> tuple[Table, dict]:
         # Informational: the lazy-heap scalar is already O(log k), so the
         # kernel's win over it is interpreter overhead only.
         "kernel_vs_heap_waterfilling": min(heap_ratios),
+        # Informational, worst shape: 1%-traced water-filling kernel over
+        # the untraced one.  No floor here; E21 owns the tracing gate.
+        "kernel_traced_1pct_vs_untraced": min(traced_ratios),
         "best_kernel_req_s": best_kernel,
         "target_req_s": TARGET_REQ_S,
         "target_req_s_met": best_kernel >= TARGET_REQ_S,

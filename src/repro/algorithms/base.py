@@ -12,6 +12,8 @@ hold.
 Unverified runs enter through :meth:`Policy.serve_batch` instead, one call
 per micro-batch: the default is the per-request ``serve`` loop, and the
 columnar kernels override it with a whole-batch implementation.
+:func:`drive` is the one loop that picks between the two, for the
+simulator and the shard engine alike.
 
 :class:`WritebackPolicy` is the analogous protocol for writeback-aware
 caching; the simulator marks the page dirty after a served write.
@@ -25,8 +27,10 @@ import numpy as np
 
 from repro.core.cache import MultiLevelCache, WritebackCache
 from repro.core.instance import MultiLevelInstance, WritebackInstance
+from repro.errors import CacheInvariantError
 
-__all__ = ["Policy", "WritebackPolicy", "register_policy", "policy_registry"]
+__all__ = ["Policy", "WritebackPolicy", "drive", "register_policy",
+           "policy_registry"]
 
 
 class Policy(ABC):
@@ -36,11 +40,12 @@ class Policy(ABC):
     name: str = "policy"
 
     #: Optional :class:`repro.obs.DecisionTracer`, attached by the simulator
-    #: or shard engine for the duration of a traced run.  Policies that can
-    #: enumerate their eviction candidates cheaply should guard on
-    #: ``self.tracer is not None and self.tracer.sampled`` and call
+    #: or shard engine for the duration of a traced run.  :func:`drive`
+    #: serves every sampled request through :meth:`serve`, so policies that
+    #: can enumerate their eviction candidates cheaply guard on
+    #: ``self.tracer is not None and self.tracer.sampled`` there and call
     #: ``self.tracer.candidates(t, [(page, level, score), ...])`` before
-    #: choosing a victim.
+    #: choosing a victim; ``serve_batch`` only sees unsampled requests.
     tracer = None
 
     def __init__(self) -> None:
@@ -113,6 +118,65 @@ class Policy(ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
+
+
+def drive(policy: Policy, t0: int, pages: np.ndarray, levels: np.ndarray,
+          *, validate: bool = False, tracer=None) -> int:
+    """Serve ``pages[i], levels[i]`` at time ``t0 + i``; returns the hits.
+
+    The one serving loop of :func:`repro.sim.simulate` and
+    :meth:`repro.service.engine.ShardEngine.process_batch`.  Requests go
+    through :meth:`Policy.serve_batch`, except that
+
+    * with ``validate`` or an event-recording ledger, each request is
+      served through :meth:`Policy.serve` with the ledger clock at its
+      ``t``, and ``validate`` checks it is served and the cache invariants;
+    * an active ``tracer`` (a :class:`repro.obs.DecisionTracer` attached
+      to the policy and ledger) splits the batch at its sampled requests:
+      each is served that way right after its ``req`` record, so its
+      ``evict`` and ``cand`` events follow it.
+    """
+    if tracer is not None and not tracer.active:
+        tracer = None
+    if validate or policy.cache.ledger.record_events:
+        return _serve_each(policy, t0, pages, levels, validate, tracer)
+    if tracer is None:
+        return policy.serve_batch(t0, pages, levels)
+    hits = lo = 0
+    for i in tracer.sample_offsets(t0, len(pages)).tolist():
+        tracer.skip(i - lo)
+        if i > lo:
+            hits += policy.serve_batch(t0 + lo, pages[lo:i], levels[lo:i])
+        hits += _serve_each(policy, t0 + i, pages[i:i + 1], levels[i:i + 1],
+                            False, tracer)
+        lo = i + 1
+    tracer.skip(len(pages) - lo)
+    return hits + policy.serve_batch(t0 + lo, pages[lo:], levels[lo:])
+
+
+def _serve_each(policy, t0, pages, levels, validate, tracer) -> int:
+    """:func:`drive`'s per-request loop: clock, trace, serve, check."""
+    cache = policy.cache
+    set_time = cache.ledger.set_time
+    serves = cache.serves
+    serve = policy.serve
+    hits = 0
+    for t, (page, level) in enumerate(zip(pages.tolist(), levels.tolist()),
+                                      t0):
+        set_time(t)
+        hit = serves(page, level)
+        hits += hit
+        if tracer is not None:
+            tracer.request(t, page, level, hit)
+        serve(t, page, level)
+        if validate:
+            if not serves(page, level):
+                raise CacheInvariantError(
+                    f"policy {policy.name!r} left request t={t} "
+                    f"(page={page}, level={level}) unserved"
+                )
+            cache.check_invariants()
+    return hits
 
 
 class WritebackPolicy(ABC):

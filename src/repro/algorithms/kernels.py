@@ -34,6 +34,9 @@ whole micro-batch:
    pages.  Evictions are collected and settled with the ledger once per
    batch (:meth:`~repro.core.ledger.CostLedger.charge_evictions`).
 
+There is no second path: the per-request :meth:`serve` (validation,
+sampled decision traces) is that loop run on a batch of one.
+
 Keys only grow: a cached slot's ``(death, seq)`` changes on a Landlord
 hit, an upgrade or a re-insert, and each adds a non-negative weight
 (rows are non-increasing, so an upgrade never lowers it) to an offset
@@ -60,8 +63,8 @@ mutation) instead of going through :meth:`MultiLevelCache.fetch` /
 ``evict`` / ``replace``: the cache dict stays authoritative and in sync
 after every request — invariant checks and ``serves()`` still work —
 but the per-call validation layers are skipped on the hot path.  Run
-with ``validate=True`` (scalar fallback + per-request invariant checks)
-when auditing.
+with ``validate=True`` (per-request serving + invariant checks) when
+auditing.
 
 Checkpointing: the policies pickle their columns and heap and rebuild
 the derived python-list mirrors and weight list in ``__setstate__``,
@@ -147,13 +150,6 @@ class _ColumnarPolicy(Policy):
             self._rebuild_derived()
 
     # -- batch loop --------------------------------------------------------
-    def _heap_exhausted(self) -> CacheInvariantError:
-        return CacheInvariantError(
-            f"policy {self.name!r}: eviction heap exhausted while the cache "
-            f"holds {len(self._contents)}/{self._k} copies — kernel state "
-            "is corrupt (e.g. a bad restore)"
-        )
-
     def _serve_rest(self, i0, pages_l, levels_l, hit_l, slot_l, level_l) -> int:
         """Scalar loop over ``[i0, n)`` trusting the batch classification.
 
@@ -161,11 +157,9 @@ class _ColumnarPolicy(Policy):
         page not yet touched by a miss/upgrade in this batch (the
         ``dirty`` set) keeps its classification-pass verdict, slot, and
         cached level; anything else re-derives from the live columns.
-        The loop body is the inlined union of :meth:`serve` and
-        :meth:`_evict_victim` — kept semantically in lock-step with them
-        (the equivalence suite pins both paths against the scalar
-        policies).  Evictions and fetches are settled with the ledger
-        once, at the end of the batch.
+        This is the kernel's only serving code — :meth:`serve` runs it on
+        a batch of one with no trusted hits.  Evictions and fetches are
+        settled with the ledger once, at the end of the batch.
         """
         death = self._death
         seqc = self._seqc
@@ -237,7 +231,11 @@ class _ColumnarPolicy(Policy):
                     try:
                         key, seq, slot = heap[0]
                     except IndexError:
-                        raise self._heap_exhausted() from None
+                        raise CacheInvariantError(
+                            f"policy {self.name!r}: eviction heap exhausted "
+                            f"while the cache holds {len(contents)}/{k} "
+                            "copies — kernel state is corrupt (e.g. a bad "
+                            "restore)") from None
                     while seqc[slot] != seq:
                         heapreplace(heap, (death[slot], seqc[slot], slot))
                         key, seq, slot = heap[0]
@@ -278,83 +276,9 @@ class _ColumnarPolicy(Policy):
                 ledger.charge_evictions(evictions)
         return hits
 
-    # -- per-request path --------------------------------------------------
-    def _set_key(self, slot: int, page: int, level: int) -> None:
-        """Give ``slot`` a fresh death key for ``page`` cached at ``level``.
-
-        Keys only grow, so the slot's heap entry may go stale but never
-        overstates the key; :meth:`_evict_victim` refreshes it lazily.
-        """
-        self._death[slot] = self._wlist[page * self._L + level - 1] + self._offset
-        self._seqc[slot] = self._counter
-        self._counter += 1
-
-    def _evict_victim(self) -> int:
-        """Evict the exact ``(death, seq)``-minimal copy; returns its slot.
-
-        The victim's entry is left on top of the heap for the caller to
-        ``heapreplace`` with the incoming copy's entry.
-        """
-        heap = self._heap
-        death = self._death
-        seqc = self._seqc
-        try:
-            key, seq, slot = heap[0]
-        except IndexError:
-            raise self._heap_exhausted() from None
-        while seqc[slot] != seq:
-            heapreplace(heap, (death[slot], seqc[slot], slot))
-            key, seq, slot = heap[0]
-        self._offset = key
-        page = self._slot_page[slot]
-        level = self._slot_level[slot]
-        del self._contents[page]
-        self._ledger.charge_eviction(
-            page, level, self._wlist[page * self._L + level - 1],
-            self._evict_reason,
-        )
-        self._page_slot[page] = -1
-        self._page_slot_np[page] = -1
-        return slot
-
     def serve(self, t: int, page: int, level: int) -> None:
-        """Serve one request; charges the ledger per event, as it happens."""
-        slot = self._page_slot[page]
-        if slot >= 0:
-            current = self._slot_level[slot]
-            if current <= level:
-                if self._hit_restores:
-                    self._set_key(slot, page, current)
-                return
-            # In-place level upgrade: charge the old copy, fetch is free.
-            ledger = self._ledger
-            ledger.charge_eviction(
-                page, current,
-                self._wlist[page * self._L + current - 1], "upgrade",
-            )
-            self._contents[page] = level
-            ledger.count_fetch()
-            self._slot_level[slot] = level
-            self._slot_level_np[slot] = level
-            self._set_key(slot, page, level)
-            return
-        # Miss: make room if needed, then fetch into a free slot.
-        if self._ncached >= self._k:
-            slot = self._evict_victim()
-            push = heapreplace
-        else:
-            slot = self._free.pop()
-            self._ncached += 1
-            push = heappush
-        self._set_key(slot, page, level)
-        push(self._heap, (self._death[slot], self._seqc[slot], slot))
-        self._contents[page] = level
-        self._ledger.count_fetch()
-        self._page_slot[page] = slot
-        self._page_slot_np[page] = slot
-        self._slot_page[slot] = page
-        self._slot_level[slot] = level
-        self._slot_level_np[slot] = level
+        """Serve one request: the fused batch loop on a batch of one."""
+        self._serve_rest(0, (page,), (level,), (False,), None, None)
 
     # -- batch entry point -------------------------------------------------
     def serve_batch(self, t0: int, pages: np.ndarray, levels: np.ndarray) -> int:

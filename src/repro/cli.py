@@ -125,6 +125,14 @@ class _FlagError(Exception):
     """Flags the CLI rejects with one stderr line and exit code 2."""
 
 
+def _check_size_flags(args) -> None:
+    """Reject a size flag below 1, once, for every command that has it."""
+    for dest in ("n_pages", "requests", "levels", "max_k"):
+        if getattr(args, dest, 1) < 1:
+            raise _FlagError(f"--{dest.replace('_', '-')} must be >= 1, "
+                             f"got {getattr(args, dest)}")
+
+
 def _flag_instance(build, *args) -> MultiLevelInstance:
     """``build(*args)`` from size flags; an invalid shape is a flag error."""
     try:
@@ -1738,6 +1746,7 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = _build_parser().parse_args(argv)
     try:
+        _check_size_flags(args)
         return _dispatch(args)
     except _FlagError as exc:
         print(str(exc), file=sys.stderr)

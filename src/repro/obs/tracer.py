@@ -37,6 +37,10 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
+from repro.core.splitmix import splitmix64
+
 __all__ = [
     "TRACE_VERSION",
     "TRACE_SCHEMA",
@@ -145,9 +149,9 @@ class DecisionTracer:
     def active(self) -> bool:
         """False when no request can ever be sampled (``sample == 0``).
 
-        Callers use this to skip the traced loop entirely — the no-op
-        fast path that keeps unsampled tracing within noise of untraced
-        throughput.
+        Callers use this to leave the tracer out of serving entirely —
+        it then neither splits batches nor sees evictions, which keeps
+        unsampled tracing within noise of untraced throughput.
         """
         return self._threshold > 0
 
@@ -157,6 +161,19 @@ class DecisionTracer:
         if threshold <= 0:
             return False
         return _mix64((self.seed << 1 | 1) ^ t) < threshold
+
+    def sample_offsets(self, t0: int, n: int) -> np.ndarray:
+        """The offsets ``i`` in ``[0, n)`` with ``want(t0 + i)``, ascending.
+
+        :meth:`want` over a whole batch at once, bit for bit: the seed is
+        reduced mod 2**64 exactly as the scalar mix reduces it.
+        """
+        if self._threshold <= 0:
+            return np.arange(0)
+        key = np.uint64((self.seed << 1 | 1) & _MASK)
+        mixed = splitmix64(np.arange(t0, t0 + n, dtype=np.uint64) ^ key)
+        # threshold - 1 fits in 64 bits even at sample == 1.0 (2**64).
+        return np.flatnonzero(mixed <= np.uint64(self._threshold - 1))
 
     # -- event emission ------------------------------------------------------
     def _emit(self, obj: dict, *, count: bool = True) -> None:
@@ -174,6 +191,11 @@ class DecisionTracer:
         if self.sampled:
             self._emit({"ev": "req", "t": t, "page": page, "level": level,
                         "hit": bool(hit)})
+
+    def skip(self, n: int) -> None:
+        """Count ``n`` requests served unsampled; clears :attr:`sampled`."""
+        self.n_requests += n
+        self.sampled = False
 
     def eviction(self, t: int, page: int, level: int, cost: float,
                  reason: str = "") -> None:

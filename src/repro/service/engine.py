@@ -5,9 +5,11 @@ the same authoritative :class:`~repro.core.cache.MultiLevelCache`, the same
 ``policy.serve`` contract, the same optional per-request verification — but
 driven by an unbounded *stream* of micro-batches instead of one materialized
 trace, with a monotonic per-shard logical clock and batch service times fed
-into a :class:`~repro.service.metrics.LatencyHistogram`.  Unless validation
-or an active tracer needs the per-request loop, every batch enters the
-policy through one :meth:`~repro.algorithms.base.Policy.serve_batch` call.
+into a :class:`~repro.service.metrics.LatencyHistogram`.  Both serve
+through :func:`~repro.algorithms.base.drive`: without validation every
+batch enters the policy through
+:meth:`~repro.algorithms.base.Policy.serve_batch` — one call, or with an
+active tracer one call per run between sampled requests.
 
 Observability hooks (all default to no-ops):
 
@@ -32,10 +34,9 @@ from time import perf_counter
 
 import numpy as np
 
-from repro.algorithms.base import Policy
+from repro.algorithms.base import Policy, drive
 from repro.core.cache import MultiLevelCache
 from repro.core.instance import MultiLevelInstance
-from repro.errors import CacheInvariantError
 from repro.obs.registry import MetricsRegistry, null_registry
 from repro.obs.spans import PhaseProfiler
 from repro.service.metrics import LatencyHistogram, ServiceLedger, ShardSnapshot
@@ -131,52 +132,12 @@ class ShardEngine:
         clients would observe for a synchronous round-trip).
         """
         started = perf_counter()
-        cache = self.cache
-        ledger = self.ledger
-        serves = cache.serves
-        serve = self.policy.serve
-        t = self._t
-        hits = 0
-        tracer = self.tracer
-        if tracer is not None and not tracer.active:
-            tracer = None  # unsampled tracing: keep the fast loop
-        if self.validate:
-            set_time = ledger.set_time
-            check = cache.check_invariants
-            name = self.policy.name
-            for page, level in zip(pages.tolist(), levels.tolist()):
-                set_time(t)
-                hit = serves(page, level)
-                if hit:
-                    hits += 1
-                if tracer is not None:
-                    tracer.request(t, page, level, hit)
-                serve(t, page, level)
-                if not serves(page, level):
-                    raise CacheInvariantError(
-                        f"policy {name!r} left request t={t} (page={page}, "
-                        f"level={level}) unserved on shard {self.shard_id}"
-                    )
-                check()
-                t += 1
-        elif tracer is not None:
-            set_time = ledger.set_time
-            trace_request = tracer.request
-            for page, level in zip(pages.tolist(), levels.tolist()):
-                set_time(t)
-                hit = serves(page, level)
-                if hit:
-                    hits += 1
-                trace_request(t, page, level, hit)
-                serve(t, page, level)
-                t += 1
-        else:
-            hits = self.policy.serve_batch(t, pages, levels)
-            t += int(pages.size)
-        n = t - self._t
-        self._t = t
-        ledger.n_hits += hits
-        ledger.n_misses += n - hits
+        hits = drive(self.policy, self._t, pages, levels,
+                     validate=self.validate, tracer=self.tracer)
+        n = int(pages.size)
+        self._t += n
+        self.ledger.n_hits += hits
+        self.ledger.n_misses += n - hits
         self.n_batches += 1
         elapsed = perf_counter() - started
         self.latency.observe(elapsed)

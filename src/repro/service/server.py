@@ -864,8 +864,8 @@ class PagingService:
         file back to it before the replay re-emits the suffix.  Traces are
         closed by :meth:`stop`.
 
-        Must be called before any traffic (the traced loop needs to see
-        every request of a sampled shard clock from t = 0).
+        Must be called before any traffic (the tracer counts every request
+        of a shard's clock from t = 0).
         """
         if self._stopped:
             raise ServiceStateError("service already stopped")

@@ -10,18 +10,18 @@ invariants after every request:
 
 A policy that cheats raises :class:`~repro.errors.CacheInvariantError`
 immediately, with the failing time step in the message.  Pass
-``validate=False`` on hot benchmark paths: the fast path skips every
-per-request invariant check and feeds the stream to
-:meth:`~repro.algorithms.base.Policy.serve_batch` in chunks, which the
+``validate=False`` on hot benchmark paths: the stream then goes, in
+chunks, to :meth:`~repro.algorithms.base.Policy.serve_batch`, which the
 columnar kernels serve whole and every other policy serves with the
-plain per-request loop.
+plain per-request loop.  :func:`repro.algorithms.base.drive` is the
+serving loop either way, shared with the shard engine.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import Policy, WritebackPolicy
+from repro.algorithms.base import Policy, WritebackPolicy, drive
 from repro.core.cache import MultiLevelCache, WritebackCache
 from repro.core.instance import MultiLevelInstance, WritebackInstance
 from repro.core.ledger import CostLedger
@@ -53,9 +53,10 @@ def simulate(
 
     ``tracer`` is an optional :class:`repro.obs.DecisionTracer`: sampled
     requests, their evictions and (for policies that expose them) the
-    candidate sets are written to its JSONL sink.  A tracer whose sample
-    rate is 0 never activates the traced loop, so attaching one costs
-    nothing on the ``validate=False`` fast path.
+    candidate sets are written to its JSONL sink.  Only the sampled
+    requests leave ``serve_batch``, and a tracer whose sample rate is 0
+    is never attached, so it costs nothing on the ``validate=False``
+    fast path.
     """
     instance.validate_sequence(seq.pages, seq.levels)
     ledger = CostLedger(record_events=record_events)
@@ -63,82 +64,21 @@ def simulate(
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     policy.bind(instance, cache, rng)
 
-    pages = seq.pages.tolist()
-    levels = seq.levels.tolist()
-    # The loop is duplicated per validation mode so the fast path carries no
-    # per-request branches; bound methods are hoisted into locals.  Policies
-    # never read the shared ledger (they only write through the cache), so
-    # the fast path batches hit/miss counts into plain ints and ledger
-    # timestamps are only maintained when the event log needs them.
-    serves = cache.serves
-    serve = policy.serve
-    if tracer is not None and tracer.active:
-        # Traced loop: the tracer samples per request index; the ledger and
-        # policy get the tracer attached so eviction / candidate events
-        # follow their request's sampling decision.
-        ledger.tracer = tracer
-        policy.tracer = tracer
-        set_time = ledger.set_time
-        trace_request = tracer.request
-        hits = 0
-        try:
-            for t, (page, level) in enumerate(zip(pages, levels)):
-                set_time(t)
-                hit = serves(page, level)
-                if hit:
-                    hits += 1
-                trace_request(t, page, level, hit)
-                serve(t, page, level)
-                if validate:
-                    if not serves(page, level):
-                        raise CacheInvariantError(
-                            f"policy {policy.name!r} left request t={t} "
-                            f"(page={page}, level={level}) unserved"
-                        )
-                    cache.check_invariants()
-        finally:
-            ledger.tracer = None
-            policy.tracer = None
-        ledger.n_hits += hits
-        ledger.n_misses += len(pages) - hits
-    elif validate:
-        set_time = ledger.set_time
-        count_hit = ledger.count_hit
-        count_miss = ledger.count_miss
-        check = cache.check_invariants
-        for t, (page, level) in enumerate(zip(pages, levels)):
-            set_time(t)
-            if serves(page, level):
-                count_hit()
-            else:
-                count_miss()
-            serve(t, page, level)
-            if not serves(page, level):
-                raise CacheInvariantError(
-                    f"policy {policy.name!r} left request t={t} "
-                    f"(page={page}, level={level}) unserved"
-                )
-            check()
-    else:
-        hits = 0
-        if record_events:
-            set_time = ledger.set_time
-            for t, (page, level) in enumerate(zip(pages, levels)):
-                set_time(t)
-                if serves(page, level):
-                    hits += 1
-                serve(t, page, level)
-        else:
-            # Chunking (rather than one giant call) keeps a columnar
-            # kernel's batch classification fresh against the evolving
-            # cache.
-            serve_batch = policy.serve_batch
-            p_arr, l_arr = seq.pages, seq.levels
-            for lo in range(0, len(pages), _BATCH_CHUNK):
-                hi = lo + _BATCH_CHUNK
-                hits += serve_batch(lo, p_arr[lo:hi], l_arr[lo:hi])
-        ledger.n_hits += hits
-        ledger.n_misses += len(pages) - hits
+    if tracer is not None and not tracer.active:
+        tracer = None  # samples nothing: keep it off the eviction path
+    ledger.tracer = policy.tracer = tracer
+    hits = 0
+    try:
+        # Chunking (rather than one giant call) keeps a columnar kernel's
+        # batch classification fresh against the evolving cache.
+        for lo in range(0, len(seq), _BATCH_CHUNK):
+            hi = lo + _BATCH_CHUNK
+            hits += drive(policy, lo, seq.pages[lo:hi], seq.levels[lo:hi],
+                          validate=validate, tracer=tracer)
+    finally:
+        ledger.tracer = policy.tracer = None
+    ledger.n_hits += hits
+    ledger.n_misses += len(seq) - hits
 
     return RunResult(
         policy=policy.name,

@@ -151,22 +151,25 @@ class TestNoEpsilon:
     def test_victim_credit_is_exactly_zero(self):
         """The death-key trick makes the victim's residual credit exactly
         0.0: the offset jumps *to* the victim's death key, so no epsilon
-        compare is ever needed.  Checked by instrumenting the eviction."""
+        compare is ever needed.  Checked around every request: a victim's
+        key, read before the request, is the offset after it."""
         residuals = []
 
         class Probe(KernelLandlordPolicy):
             name = "landlord-probe"
 
-            def _evict_victim(self):
+            def serve(self, t, page, level):
+                keys = {p: self._death[self._page_slot[p]]
+                        for p in self._contents}
                 before = self._offset
-                slot = super()._evict_victim()
+                super().serve(t, page, level)
                 # Residual credit at eviction = death - new offset = 0.0.
-                residuals.append(self._death[slot] - self._offset)
+                residuals.extend(keys[p] - self._offset
+                                 for p in keys.keys() - self._contents.keys())
                 assert self._offset >= before
                 # Credits never go negative: no live key is below it.
                 assert all(self._death[self._page_slot[p]] >= self._offset
                            for p in self._contents)
-                return slot
 
         inst = WeightedPagingInstance(4, sample_weights(16, rng=1, high=16.0))
         seq = zipf_stream(16, 500, rng=2)

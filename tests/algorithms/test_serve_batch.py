@@ -2,10 +2,10 @@
 
 Every unverified run — :func:`repro.sim.simulate` with ``validate=False``
 and :meth:`~repro.service.engine.ShardEngine.process_batch` without
-validation or an active tracer — enters a policy through one
-``serve_batch`` call per chunk.  The columnar kernels override it with a
-whole-batch path; every other policy inherits :class:`Policy`'s loop over
-``serve``.  Either way, serving a stream in arbitrary chunks must be
+validation — enters a policy through one ``serve_batch`` call per chunk
+(an active tracer splits a chunk at its sampled requests).  The columnar
+kernels override it with a whole-batch path; every other policy inherits
+:class:`Policy`'s loop over ``serve``.  Either way, serving a stream in arbitrary chunks must be
 ``==`` to calling ``serve`` once per request under the same seed: the
 same eviction stream (page, level, cost, reason), total cost, final cache
 and hit count.

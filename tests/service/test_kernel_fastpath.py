@@ -1,21 +1,24 @@
 """ShardEngine's kernel fast path: when it engages, and that it's invisible.
 
-``process_batch`` hands each whole micro-batch to the policy's
-``serve_batch`` — the columnar kernels' whole-batch path, or the default
-per-request loop of :class:`~repro.algorithms.base.Policy` — whenever
-neither validation nor active tracing needs the engine's own per-request
-loop.  The contract pinned here:
+``process_batch`` serves through :func:`~repro.algorithms.base.drive`,
+which hands each whole micro-batch to the policy's ``serve_batch`` — the
+columnar kernels' whole-batch path, or the default per-request loop of
+:class:`~repro.algorithms.base.Policy` — unless validation asks for the
+per-request loop.  The contract pinned here:
 
-* fast path and the ``validate=True`` scalar fallback produce identical
+* fast path and the ``validate=True`` per-request loop produce identical
   ledgers and cache contents,
-* an attached (sampled) tracer forces the scalar loop and yields traces
-  byte-identical to a scalar heap policy's run — the kernel must be
-  indistinguishable in the observability plane too,
+* an active tracer takes only its sampled requests off ``serve_batch``,
+  one ``serve`` call each, and the traces stay byte-identical to a
+  scalar heap policy's run — the kernel must be indistinguishable in the
+  observability plane too,
 * inline / thread / process backends agree on the exact cost with kernel
   policies, like every other policy,
 * checkpoint capture/restore round-trips the columnar state onto the
   engine's live instance.
 """
+
+import io
 
 import numpy as np
 import pytest
@@ -29,6 +32,7 @@ from repro.algorithms import (
     WaterFillingPolicy,
 )
 from repro.core.instance import WeightedPagingInstance
+from repro.obs import DecisionTracer
 from repro.service import PagingService, ServiceConfig, run_load
 from repro.service.engine import ShardEngine
 from repro.sim import simulate
@@ -61,11 +65,13 @@ def _spy_calls(policy) -> dict[str, int]:
     return calls
 
 
-def _spied_run(policy, *, validate=False, length=1500, batch=100):
+def _spied_run(policy, *, validate=False, tracer=None, length=1500,
+               batch=100):
     """Serve the workload through one engine; returns (engine, calls)."""
     inst = WeightedPagingInstance(8, sample_weights(32, rng=0, high=16.0))
     engine = ShardEngine(0, inst, policy, np.random.default_rng(0),
                          validate=validate)
+    engine.set_tracer(tracer)
     calls = _spy_calls(engine.policy)
     seq = _workload(length)
     for lo in range(0, len(seq), batch):
@@ -95,6 +101,24 @@ class TestFastPathDispatch:
     def test_validation_keeps_the_per_request_loop(self, policy):
         _, calls = _spied_run(policy(), validate=True, length=300)
         assert calls == {"serve_batch": 0, "serve": 300}
+
+    @pytest.mark.parametrize("policy", KERNELS)
+    @pytest.mark.parametrize("sample", [0.01, 0.25, 1.0])
+    def test_active_tracer_serves_only_sampled_requests_alone(self, policy,
+                                                              sample):
+        # Each sampled request is one serve call; the runs between them
+        # stay on serve_batch, at most one call per run.
+        tracer = DecisionTracer(io.StringIO(), sample=sample, seed=3)
+        _, calls = _spied_run(policy(), tracer=tracer)
+        sampled = sum(tracer.want(t) for t in range(1500))
+        assert calls["serve"] == sampled > 0
+        assert calls["serve_batch"] <= 15 + sampled
+
+    @pytest.mark.parametrize("policy", KERNELS)
+    def test_unsampled_tracer_keeps_one_serve_batch_per_batch(self, policy):
+        tracer = DecisionTracer(io.StringIO(), sample=0.0)
+        _, calls = _spied_run(policy(), tracer=tracer)
+        assert calls == {"serve_batch": 15, "serve": 0}
 
     @pytest.mark.parametrize("policy", KERNELS)
     @pytest.mark.parametrize("batch", [1, 7, 256])
@@ -135,11 +159,12 @@ class TestFastPathDispatch:
         svc.stop()
 
 
-class TestTracedFallback:
+class TestTracedServing:
     def test_traces_byte_identical_to_scalar_policy(self, tmp_path):
-        # An active tracer forces the scalar loop; the kernel's decisions
-        # — and therefore the sampled trace bytes — must match the lazy
-        # heap scalar exactly, shard by shard.
+        # Sampled requests run the kernel's serve (its batch loop on one
+        # request), the rest its serve_batch; the kernel's decisions — and
+        # therefore the sampled trace bytes — must match the lazy heap
+        # scalar exactly, shard by shard.
         seq = _workload(3000)
         paths = {}
         for tag, policy in (("kernel", KernelWaterFillingPolicy),

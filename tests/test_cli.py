@@ -85,17 +85,44 @@ class TestVerifyCommand:
         assert out.count("HOLDS") == 2
 
 
-@pytest.mark.parametrize("argv", [
-    ["run", "--n-pages", "4", "--cache-size", "8"],
-    ["verify", "--n-pages", "4", "--cache-size", "8"],
-    ["serve", "--n-pages", "4", "--k", "8"],
-    ["loadgen", "--n-pages", "4", "--k", "0"],
-    ["opt", "bound", "--n-pages", "4", "--cache-size", "8"],
-], ids=["run", "verify", "serve", "loadgen", "opt-bound"])
-def test_invalid_instance_shape_exits_2_with_one_line(argv, capsys):
+_BAD_CACHE = "invalid instance: cache_size"
+
+
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(["run", "--n-pages", "4", "--cache-size", "8"], _BAD_CACHE,
+                 id="run"),
+    pytest.param(["verify", "--n-pages", "4", "--cache-size", "8"],
+                 _BAD_CACHE, id="verify"),
+    pytest.param(["serve", "--n-pages", "4", "--k", "8"], _BAD_CACHE,
+                 id="serve"),
+    pytest.param(["loadgen", "--n-pages", "4", "--k", "0"], _BAD_CACHE,
+                 id="loadgen"),
+    pytest.param(["opt", "bound", "--n-pages", "4", "--cache-size", "8"],
+                 _BAD_CACHE, id="opt-bound"),
+    # Size flags are checked once, after parsing: one line naming the flag.
+    pytest.param(["run", "--n-pages", "-1"], "--n-pages must be >= 1, got -1",
+                 id="run-n-pages"),
+    pytest.param(["run", "--requests", "-5"], "--requests must be >= 1",
+                 id="run-requests"),
+    pytest.param(["run", "--levels", "0"], "--levels must be >= 1, got 0",
+                 id="run-levels"),
+    pytest.param(["verify", "--levels", "0"], "--levels must be >= 1",
+                 id="verify-levels"),
+    pytest.param(["verify", "--requests", "-1"], "--requests must be >= 1",
+                 id="verify-requests"),
+    pytest.param(["mrc", "--n-pages", "0"], "--n-pages must be >= 1",
+                 id="mrc-n-pages"),
+    pytest.param(["mrc", "--max-k", "0"], "--max-k must be >= 1, got 0",
+                 id="mrc-max-k"),
+    pytest.param(["opt", "bound", "--requests", "-5"],
+                 "--requests must be >= 1", id="opt-bound-requests"),
+    pytest.param(["serve", "--requests", "-5"], "--requests must be >= 1",
+                 id="serve-requests"),
+])
+def test_invalid_instance_shape_exits_2_with_one_line(argv, message, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("invalid instance: cache_size")
+    assert err.startswith(message)
     assert err.count("\n") == 1  # one line, no traceback
 
 
