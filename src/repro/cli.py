@@ -1,46 +1,16 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands
---------
-``run``      simulate one or more policies on a generated workload and
-             print a comparison table (optionally against the offline
-             optimum bound).
-``policies`` list every registered policy.
-``verify``   run the potential-function verifiers on a small instance —
-             machine-checks the paper's Theorem 4.1 / Section 4.2 drift
-             inequalities on a live run.
-``serve``    run a workload through the sharded paging service
-             (:mod:`repro.service`) and print live metric snapshots —
-             or, with ``--listen``, expose the service over TCP
-             (:mod:`repro.net`) until SIGINT/SIGTERM.
-``loadgen``  replay a workload against the service at a target request
-             rate and report achieved throughput + tail latency; with
-             ``--connect`` the load travels over the wire protocol to a
-             running ``serve --listen`` process.
-``trace``    replay or validate a JSONL decision trace produced by
-             ``run --trace`` / ``serve --trace-dir`` (:mod:`repro.obs`),
-             or ``stitch`` request-span JSONL files (``--span-dir``)
-             into per-trace waterfalls.
-``cluster``  multi-node mode (:mod:`repro.cluster`): ``proxy`` fronts N
-             running ``serve --listen`` backends behind one
-             consistent-hash endpoint (optionally federating their
-             ``/metrics`` pages on ``--federate-port``); ``status`` /
-             ``migrate`` / ``rebalance`` drive the live cluster map over
-             the wire.
-``top``      live cluster status polled from a (federated) ``/metrics``
-             endpoint: per-backend request rates, tail latency, queue
-             depth, map epoch and in-flight migrations.
-``opt``      offline OPT bounds (:mod:`repro.offline.scale`): ``bound``
-             computes the certified sandwich ``LP/divisor <= OPT <=
-             rounded cost`` (exact DP when the state space fits) for a
-             generated workload or a recorded experience file, and can
-             turn an online cost into a competitive ratio.
-``replay``   re-serve an experience file recorded with
-             ``serve/loadgen --record`` (:mod:`repro.control`): ``run``
-             reproduces the live cost ``==``-exactly (or replays an
-             alternative policy / cache size), ``compare`` tabulates
-             several policies against the live run, ``stats``
-             summarizes the recorded traffic.
+:func:`_build_parser` is the CLI's one table: every command and
+subcommand, its flags, each numeric flag's valid range, how lists and
+addresses parse, and the handler that runs the command.
+``python -m repro [COMMAND ...] --help`` prints it.
+
+Exit codes: 0 on success, 1 when a command ran and reports a failure (a
+violated inequality, a failed sandwich check, a replay mismatch), and 2
+when an input is rejected.  A rejected input -- a flag outside its
+range, a malformed list or address, a cross-flag conflict, an invalid
+instance or service shape, a missing input file -- is reported as one
+stderr line that names the flag or the file, never as a traceback.
 
 Examples
 --------
@@ -94,6 +64,7 @@ Examples
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from repro.algorithms import policy_registry
@@ -103,7 +74,7 @@ from repro.analysis.potentials import (
     verify_waterfilling_potential,
 )
 from repro.core.instance import MultiLevelInstance, WeightedPagingInstance
-from repro.errors import InvalidInstanceError
+from repro.errors import InvalidInstanceError, ServiceConfigError
 from repro.offline import best_opt_bound
 from repro.sim import RunSpec, run_sweep
 from repro.workloads import (
@@ -121,49 +92,139 @@ __all__ = ["main"]
 _WORKLOADS = ("zipf", "uniform", "scan", "working-set", "multilevel")
 
 
-class _FlagError(Exception):
-    """Flags the CLI rejects with one stderr line and exit code 2."""
+class _Parser(argparse.ArgumentParser):
+    """argparse, except that a rejection is one stderr line, not a usage
+    block, and ``--help`` shows each numeric flag's range."""
+
+    def add_argument(self, *args, **kwargs):
+        if isinstance(kwargs.get("type"), _Range):
+            kwargs["help"] = f"{kwargs.get('help', '')} ({kwargs['type'].spec})"
+        return super().add_argument(*args, **kwargs)
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {' '.join(message.split())}\n")
 
 
-def _check_size_flags(args) -> None:
-    """Reject a size flag below 1, once, for every command that has it."""
-    for dest in ("n_pages", "requests", "levels", "max_k"):
-        if getattr(args, dest, 1) < 1:
-            raise _FlagError(f"--{dest.replace('_', '-')} must be >= 1, "
-                             f"got {getattr(args, dest)}")
+class _Range:
+    """``type=`` for a numeric flag: parse as ``kind``, then check the range.
+
+    ``lo``/``hi`` bound the value (``hi=None``: no upper bound) and
+    ``open_lo`` excludes ``lo``; a float must also be finite.  The bounds
+    stay on the object, so the parser is the one table of flag ranges.
+    """
+
+    def __init__(self, kind: type, lo: float, hi: float | None = None, *,
+                 open_lo: bool = False) -> None:
+        self.kind, self.lo, self.hi, self.open_lo = kind, lo, hi, open_lo
+        noun = "an integer" if kind is int else "a finite number"
+        self.spec = (f"{noun} {'>' if open_lo else '>='} {lo:g}" if hi is None
+                     else f"{noun} in {'(' if open_lo else '['}{lo:g}, {hi:g}]")
+
+    def __call__(self, text: str):
+        try:
+            value = self.kind(text)
+        except ValueError:
+            value = math.nan
+        if not ((self.kind is int or math.isfinite(value))
+                and (value > self.lo if self.open_lo else value >= self.lo)
+                and (self.hi is None or value <= self.hi)):
+            raise argparse.ArgumentTypeError(
+                f"must be {self.spec}, got {text!r}")
+        return value
 
 
-def _flag_instance(build, *args) -> MultiLevelInstance:
-    """``build(*args)`` from size flags; an invalid shape is a flag error."""
+_SIZE = _Range(int, 1)                  # sizes and counts
+_NONNEG_INT = _Range(int, 0)            # seeds, budgets, indices; 0 = off
+_PORT = _Range(int, 0, 65535)           # 0 picks a free port
+_FRACTION = _Range(float, 0.0, 1.0)
+_OPEN_FRACTION = _Range(float, 0.0, 1.0, open_lo=True)
+_POSITIVE = _Range(float, 0.0, open_lo=True)  # rates, timeouts, periods
+_NONNEG = _Range(float, 0.0)            # skews, backoffs, costs
+_WEIGHT = _Range(float, 1.0)            # page weights are >= 1
+
+
+def _policy(name: str) -> str:
+    """``type=`` for ``--policy``: a registered policy name."""
+    if name not in policy_registry:
+        raise argparse.ArgumentTypeError(
+            f"unknown policy {name!r}; available: "
+            f"{', '.join(sorted(policy_registry))}")
+    return name
+
+
+def _address(text: str) -> str:
+    """``type=`` for a ``HOST:PORT`` flag; the text is kept as given."""
+    from repro.net import parse_address
+
     try:
-        return build(*args)
-    except InvalidInstanceError as exc:
-        raise _FlagError(f"invalid instance: {exc}") from None
+        port = parse_address(text)[1]
+    except ValueError:
+        port = -1
+    if not 0 <= port <= 65535:
+        raise argparse.ArgumentTypeError(f"must be host:port, got {text!r}")
+    return text
+
+
+def _metrics_target(text: str) -> tuple[str, str]:
+    """One ``--backend-metrics`` entry: ``id=url``."""
+    backend_id, sep, url = text.partition("=")
+    if not sep or not backend_id or not url:
+        raise argparse.ArgumentTypeError(f"entries must be id=url, got {text!r}")
+    return backend_id, url
+
+
+def _listed(item, what: str):
+    """``type=`` for a comma-separated list of at least one ``item``."""
+
+    def parse(text: str) -> list:
+        items = [item(part.strip()) for part in text.split(",") if part.strip()]
+        if not items:
+            raise argparse.ArgumentTypeError(f"must name at least one {what}")
+        return items
+
+    return parse
+
+
+_policies = _listed(_policy, "policy")
+_addresses = _listed(_address, "host:port")
+_thresholds = _listed(_OPEN_FRACTION, "threshold in (0, 1]")
+_metrics_targets = _listed(_metrics_target, "id=url pair")
+
+
+def _fault_plan(text: str):
+    """``type=`` for ``--faults``/``--net-faults``: a parsed ``FaultPlan``."""
+    from repro.faults import FaultPlan
+
+    try:
+        return FaultPlan.parse(text)
+    except ServiceConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _command(sub, name: str, handler, **kwargs) -> argparse.ArgumentParser:
+    """Add the leaf (sub)command ``name``, run by ``handler(args)``."""
+    parser = sub.add_parser(name, **kwargs)
+    parser.set_defaults(handler=handler, parser=parser)
+    return parser
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The CLI's one table: every command, flag, range and handler."""
+    parser = _Parser(
         prog="repro",
         description="Efficient Online Weighted Multi-Level Paging (SPAA'21) "
         "reproduction harness",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="simulate policies on a workload")
-    run.add_argument("--policies", default="lru,landlord-kernel,waterfilling",
+    run = _command(sub, "run", _cmd_run,
+                   help="simulate policies on a workload")
+    run.add_argument("--policies", type=_policies,
+                     default="lru,landlord-kernel,waterfilling",
                      help="comma-separated policy names (see `policies`)")
-    run.add_argument("--n-pages", type=int, default=32)
-    run.add_argument("--cache-size", type=int, default=8)
-    run.add_argument("--levels", type=int, default=1)
-    run.add_argument("--requests", type=int, default=2000)
-    run.add_argument("--workload", choices=_WORKLOADS, default="zipf")
-    run.add_argument("--alpha", type=float, default=0.9,
-                     help="Zipf skew (zipf/multilevel workloads)")
-    run.add_argument("--weight-high", type=float, default=32.0,
-                     help="max page weight (log-uniform in [1, high])")
-    run.add_argument("--seeds", type=int, default=1,
+    _add_workload_args(run)
+    run.add_argument("--seeds", type=_SIZE, default=1,
                      help="independent seeds per policy")
-    run.add_argument("--master-seed", type=int, default=0)
     run.add_argument("--opt", action="store_true",
                      help="also compute an offline OPT bound and ratios")
     run.add_argument("--parallel", action="store_true",
@@ -172,80 +233,75 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--trace", metavar="PATH",
                      help="write a JSONL decision trace (single policy, "
                           "single seed)")
-    run.add_argument("--trace-sample", type=float, default=1.0,
+    run.add_argument("--trace-sample", type=_FRACTION, default=1.0,
                      help="fraction of requests to trace (deterministic "
                           "in the master seed)")
 
-    sub.add_parser("policies", help="list registered policies")
+    _command(sub, "policies", _cmd_policies, help="list registered policies")
 
-    verify = sub.add_parser(
-        "verify", help="check the paper's potential drift inequalities"
+    verify = _command(
+        sub, "verify", _cmd_verify,
+        help="check the paper's potential drift inequalities"
     )
-    verify.add_argument("--n-pages", type=int, default=5)
-    verify.add_argument("--cache-size", type=int, default=2)
-    verify.add_argument("--levels", type=int, default=2)
-    verify.add_argument("--requests", type=int, default=80)
-    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--n-pages", type=_SIZE, default=5)
+    verify.add_argument("--cache-size", type=_SIZE, default=2)
+    verify.add_argument("--levels", type=_SIZE, default=2)
+    verify.add_argument("--requests", type=_SIZE, default=80)
+    verify.add_argument("--seed", type=_NONNEG_INT, default=0)
 
-    mrc = sub.add_parser(
-        "mrc", help="miss-ratio curves (LRU stack distances + Belady MIN)"
+    mrc = _command(
+        sub, "mrc", _cmd_mrc,
+        help="miss-ratio curves (LRU stack distances + Belady MIN)"
     )
-    mrc.add_argument("--n-pages", type=int, default=64)
-    mrc.add_argument("--requests", type=int, default=20000)
-    mrc.add_argument("--max-k", type=int, default=16)
+    mrc.add_argument("--n-pages", type=_SIZE, default=64)
+    mrc.add_argument("--requests", type=_SIZE, default=20000)
+    mrc.add_argument("--max-k", type=_SIZE, default=16)
     mrc.add_argument("--workload", choices=("zipf", "loop"), default="zipf")
-    mrc.add_argument("--alpha", type=float, default=0.9)
-    mrc.add_argument("--loop-size", type=int, default=10)
-    mrc.add_argument("--seed", type=int, default=0)
+    mrc.add_argument("--alpha", type=_NONNEG, default=0.9)
+    mrc.add_argument("--loop-size", type=_SIZE, default=10)
+    mrc.add_argument("--seed", type=_NONNEG_INT, default=0)
     mrc.add_argument("--chart", action="store_true",
                      help="render an ASCII chart of the curves")
 
-    lb = sub.add_parser(
-        "lower-bound", help="run the Section 3 set-cover reduction"
+    lb = _command(
+        sub, "lower-bound", _cmd_lower_bound,
+        help="run the Section 3 set-cover reduction"
     )
-    lb.add_argument("--elements", type=int, default=20)
-    lb.add_argument("--sets", type=int, default=8)
-    lb.add_argument("--cover-size", type=int, default=3)
-    lb.add_argument("--phases", type=int, default=3)
-    lb.add_argument("--w", type=float, default=5.0)
-    lb.add_argument("--repetitions", type=int, default=4)
-    lb.add_argument("--policy", default="landlord-kernel")
-    lb.add_argument("--seed", type=int, default=0)
+    lb.add_argument("--elements", type=_SIZE, default=20)
+    lb.add_argument("--sets", type=_SIZE, default=8)
+    lb.add_argument("--cover-size", type=_SIZE, default=3)
+    lb.add_argument("--phases", type=_SIZE, default=3)
+    lb.add_argument("--w", type=_WEIGHT, default=5.0)
+    lb.add_argument("--repetitions", type=_SIZE, default=4)
+    lb.add_argument("--policy", type=_policy, default="landlord-kernel")
+    lb.add_argument("--seed", type=_NONNEG_INT, default=0)
 
     opt = sub.add_parser(
         "opt", help="offline OPT bounds: DP / sparse-LP / rounding sandwich"
     )
     opt_sub = opt.add_subparsers(dest="opt_command", required=True)
-    ob = opt_sub.add_parser(
-        "bound",
+    ob = _command(
+        opt_sub, "bound", _cmd_opt_bound,
         help="certified lower/upper bounds on the offline optimum",
     )
     ob.add_argument("experience", nargs="?", default=None,
                     help="experience file (.npz/.jsonl recorded with "
                          "serve/loadgen --record); omitted: generate a "
                          "workload from the flags below")
-    ob.add_argument("--n-pages", type=int, default=32)
-    ob.add_argument("--cache-size", type=int, default=8)
-    ob.add_argument("--levels", type=int, default=1)
-    ob.add_argument("--requests", type=int, default=2000)
-    ob.add_argument("--workload", choices=_WORKLOADS, default="zipf")
-    ob.add_argument("--alpha", type=float, default=0.9,
-                    help="Zipf skew (zipf/multilevel workloads)")
-    ob.add_argument("--weight-high", type=float, default=32.0,
-                    help="max page weight (log-uniform in [1, high])")
-    ob.add_argument("--master-seed", type=int, default=0)
+    _add_workload_args(ob)
     ob.add_argument("--prefer",
                     choices=("auto", "dp", "lp", "sparse-lp", "dense-lp"),
                     default="auto",
                     help="bound method (auto: DP when feasible, else "
                          "sparse LP)")
-    ob.add_argument("--max-states", type=int, default=20_000,
+    ob.add_argument("--max-states", type=_NONNEG_INT, default=20_000,
                     help="exact-DP state budget before the LP takes over")
-    ob.add_argument("--thresholds", default=None, metavar="T1,T2,...",
-                    help="rounding thresholds (default 0.1..0.9)")
+    ob.add_argument("--thresholds", type=_thresholds, default=None,
+                    metavar="T1,T2,...",
+                    help="rounding thresholds in (0, 1] (default 0.1..0.9)")
     ob.add_argument("--no-round", action="store_true",
                     help="skip the threshold-rounding upper bound")
-    ob.add_argument("--cost", type=float, default=None,
+    ob.add_argument("--cost", type=_NONNEG, default=None,
                     help="an online cost to report as a competitive "
                          "ratio against the lower bound")
     ob.add_argument("--check", action="store_true",
@@ -254,8 +310,9 @@ def _build_parser() -> argparse.ArgumentParser:
                          "the LP bound, rounded cost above both)")
     ob.add_argument("--csv", action="store_true", help="emit CSV")
 
-    report = sub.add_parser(
-        "report", help="consolidate benchmark artifacts into markdown"
+    report = _command(
+        sub, "report", _cmd_report,
+        help="consolidate benchmark artifacts into markdown"
     )
     report.add_argument("--results-dir", default="benchmarks/results")
 
@@ -263,76 +320,86 @@ def _build_parser() -> argparse.ArgumentParser:
         "trace", help="replay or validate a JSONL decision trace"
     )
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
-    replay = trace_sub.add_parser(
-        "replay", help="re-render a trace into per-page/per-level summaries"
+    replay = _command(
+        trace_sub, "replay", _cmd_trace_replay,
+        help="re-render a trace into per-page/per-level summaries"
     )
     replay.add_argument("path", help="JSONL trace file")
-    replay.add_argument("--top", type=int, default=10,
+    replay.add_argument("--top", type=_SIZE, default=10,
                         help="pages to show in the cost ranking")
-    validate = trace_sub.add_parser(
-        "validate", help="check a trace file against the trace schema"
+    validate = _command(
+        trace_sub, "validate", _cmd_trace_validate,
+        help="check a trace file against the trace schema"
     )
     validate.add_argument("path", help="JSONL trace file")
-    stitch = trace_sub.add_parser(
-        "stitch", help="stitch request-span JSONL files into per-trace "
-                       "waterfalls"
+    stitch = _command(
+        trace_sub, "stitch", _cmd_trace_stitch,
+        help="stitch request-span JSONL files into per-trace waterfalls"
     )
     stitch.add_argument("paths", nargs="+",
                         help="span JSONL files (svc/shard/net/proxy/client)")
     stitch.add_argument("--trace", default=None, metavar="HEX",
                         help="render only this trace id")
-    stitch.add_argument("--limit", type=int, default=10,
+    stitch.add_argument("--limit", type=_SIZE, default=10,
                         help="max waterfalls to render")
-    stitch.add_argument("--min-spans", type=int, default=1,
+    stitch.add_argument("--min-spans", type=_SIZE, default=1,
                         help="skip traces with fewer stitched spans")
 
-    serve = sub.add_parser(
-        "serve", help="run a workload through the sharded paging service"
+    serve = _command(
+        sub, "serve", _cmd_serve,
+        help="run a workload through the sharded paging service"
     )
     _add_service_args(serve)
-    serve.add_argument("--snapshot-every", type=int, default=0, metavar="N",
-                       help="print a metrics snapshot every N batches")
-    serve.add_argument("--listen", default=None, metavar="HOST:PORT",
+    serve.add_argument("--snapshot-every", type=_NONNEG_INT, default=0,
+                       metavar="N",
+                       help="print a metrics snapshot every N batches "
+                            "(0 = only the final one)")
+    serve.add_argument("--listen", type=_address, default=None,
+                       metavar="HOST:PORT",
                        help="serve the repro.net wire protocol instead of "
                             "streaming the workload (port 0 picks a free "
                             "port; runs until SIGINT/SIGTERM)")
-    serve.add_argument("--max-connections", type=int, default=64, metavar="N",
+    serve.add_argument("--max-connections", type=_SIZE, default=64,
+                       metavar="N",
                        help="connection cap before new sockets are refused")
-    serve.add_argument("--inflight", type=int, default=32, metavar="N",
+    serve.add_argument("--inflight", type=_SIZE, default=32, metavar="N",
                        help="per-connection in-flight submits before the "
                             "oldest is shed")
-    serve.add_argument("--deadline", type=float, default=30.0, metavar="S",
+    serve.add_argument("--deadline", type=_POSITIVE, default=30.0,
+                       metavar="S",
                        help="server-side seconds before an unresolved "
                             "submit is answered 'deadline'")
-    serve.add_argument("--net-faults", default=None, metavar="SPEC",
+    serve.add_argument("--net-faults", type=_fault_plan, default=None,
+                       metavar="SPEC",
                        help="inject faults at the network boundary "
                             "(kind:conn@req[:delay_s], kinds "
                             "kill/delay/drop; conn = connection index, "
                             "req = per-connection submit index)")
-    serve.add_argument("--stop-timeout", type=float, default=10.0,
+    serve.add_argument("--stop-timeout", type=_POSITIVE, default=10.0,
                        metavar="S",
                        help="single shared deadline for the shutdown drain")
     serve.add_argument("--controller", action="store_true",
                        help="close the admission loop (--listen only): "
                             "live-adjust the in-flight window and the soft "
                             "queue limit from the pressure signals")
-    serve.add_argument("--ctl-interval", type=float, default=0.25,
+    serve.add_argument("--ctl-interval", type=_POSITIVE, default=0.25,
                        metavar="S", help="controller poll interval")
-    serve.add_argument("--ctl-high", type=float, default=0.75,
+    serve.add_argument("--ctl-high", type=_FRACTION, default=0.75,
                        metavar="FRAC",
                        help="pressure above this tightens admission")
-    serve.add_argument("--ctl-low", type=float, default=0.30,
+    serve.add_argument("--ctl-low", type=_FRACTION, default=0.30,
                        metavar="FRAC",
                        help="pressure below this relaxes admission")
-    serve.add_argument("--ctl-dwell", type=float, default=2.0, metavar="S",
+    serve.add_argument("--ctl-dwell", type=_NONNEG, default=2.0, metavar="S",
                        help="min seconds between direction reversals "
                             "(hysteresis; prevents flapping)")
 
-    loadgen = sub.add_parser(
-        "loadgen", help="rate-paced load generation against the service"
+    loadgen = _command(
+        sub, "loadgen", _cmd_loadgen,
+        help="rate-paced load generation against the service"
     )
     _add_service_args(loadgen)
-    loadgen.add_argument("--rate", type=float, default=100_000.0,
+    loadgen.add_argument("--rate", type=_POSITIVE, default=100_000.0,
                          help="target request rate (req/s)")
     loadgen.add_argument("--profile",
                          choices=("constant", "diurnal", "burst", "step"),
@@ -340,79 +407,84 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="rate shape over time: constant, a smooth "
                               "diurnal cosine, seeded bursts, or a square "
                               "step wave (--rate is the peak)")
-    loadgen.add_argument("--profile-period", type=float, default=10.0,
+    loadgen.add_argument("--profile-period", type=_POSITIVE, default=10.0,
                          metavar="S", help="profile period in seconds")
-    loadgen.add_argument("--profile-low", type=float, default=0.1,
+    loadgen.add_argument("--profile-low", type=_FRACTION, default=0.1,
                          metavar="FRAC",
                          help="trough rate as a fraction of --rate")
-    loadgen.add_argument("--profile-duty", type=float, default=0.25,
+    loadgen.add_argument("--profile-duty", type=_OPEN_FRACTION, default=0.25,
                          metavar="FRAC",
                          help="high-rate fraction of each period "
                               "(burst/step profiles)")
     loadgen.add_argument("--max-retries", "--retry", dest="max_retries",
-                         type=int, default=3, metavar="N",
+                         type=_NONNEG_INT, default=3, metavar="N",
                          help="retries before an overloaded batch is dropped")
-    loadgen.add_argument("--retry-backoff", type=float, default=0.001,
+    loadgen.add_argument("--retry-backoff", type=_NONNEG, default=0.001,
                          metavar="S",
                          help="base backoff seconds (doubles per retry)")
     loadgen.add_argument("--on-overload", choices=("retry", "shed"),
                          default="retry",
                          help="client policy for Overloaded rejections: "
                               "retry with backoff, or shed immediately")
-    loadgen.add_argument("--connect", default=None, metavar="HOST:PORT",
+    loadgen.add_argument("--connect", type=_address, default=None,
+                         metavar="HOST:PORT",
                          help="drive a remote `serve --listen` server over "
                               "TCP instead of an in-process service")
-    loadgen.add_argument("--connections", type=int, default=1, metavar="N",
+    loadgen.add_argument("--connections", type=_SIZE, default=1, metavar="N",
                          help="client connections to open (--connect only)")
-    loadgen.add_argument("--window", type=int, default=1, metavar="N",
+    loadgen.add_argument("--window", type=_SIZE, default=1, metavar="N",
                          help="pipelined submits per connection "
                               "(--connect only; 1 = strict round-trips)")
-    loadgen.add_argument("--timeout", type=float, default=10.0, metavar="S",
+    loadgen.add_argument("--timeout", type=_POSITIVE, default=10.0,
+                         metavar="S",
                          help="client-side reply timeout (--connect only)")
 
     cluster = sub.add_parser(
         "cluster", help="multi-node proxy + live shard migration"
     )
     cluster_sub = cluster.add_subparsers(dest="cluster_command", required=True)
-    cproxy = cluster_sub.add_parser(
-        "proxy", help="front running `serve --listen` backends behind one "
-                      "consistent-hash endpoint"
+    cproxy = _command(
+        cluster_sub, "proxy", _cmd_cluster_proxy,
+        help="front running `serve --listen` backends behind one "
+             "consistent-hash endpoint"
     )
-    cproxy.add_argument("--listen", default="127.0.0.1:0", metavar="HOST:PORT",
+    cproxy.add_argument("--listen", type=_address, default="127.0.0.1:0",
+                        metavar="HOST:PORT",
                         help="front address (port 0 picks a free port)")
-    cproxy.add_argument("--backends", required=True, metavar="ADDR,ADDR,...",
+    cproxy.add_argument("--backends", type=_addresses, required=True,
+                        metavar="ADDR,ADDR,...",
                         help="comma-separated backend host:port list; each "
                              "must be a running `repro serve --listen` "
                              "started with the cluster's total --shards")
-    cproxy.add_argument("--shards", type=int, default=None, metavar="N",
+    cproxy.add_argument("--shards", type=_SIZE, default=None, metavar="N",
                         help="total cluster shard count (default: ask the "
                              "first backend for its shard count)")
-    cproxy.add_argument("--window", type=int, default=16, metavar="N",
+    cproxy.add_argument("--window", type=_SIZE, default=16, metavar="N",
                         help="pipelined submits per backend channel")
-    cproxy.add_argument("--retries", type=int, default=8, metavar="N",
+    cproxy.add_argument("--retries", type=_NONNEG_INT, default=8, metavar="N",
                         help="proxy-side retries of Overloaded backend parts")
-    cproxy.add_argument("--retry-backoff", type=float, default=0.002,
+    cproxy.add_argument("--retry-backoff", type=_NONNEG, default=0.002,
                         metavar="S", help="base backoff seconds per retry")
-    cproxy.add_argument("--timeout", type=float, default=30.0, metavar="S",
-                        help="backend reply timeout")
-    cproxy.add_argument("--hold-timeout", type=float, default=60.0,
+    cproxy.add_argument("--timeout", type=_POSITIVE, default=30.0,
+                        metavar="S", help="backend reply timeout")
+    cproxy.add_argument("--hold-timeout", type=_POSITIVE, default=60.0,
                         metavar="S",
                         help="max seconds a submit waits on a held "
                              "(migrating) shard before Overloaded")
-    cproxy.add_argument("--migration-timeout", type=float, default=60.0,
+    cproxy.add_argument("--migration-timeout", type=_POSITIVE, default=60.0,
                         metavar="S", help="per-migration deadline")
-    cproxy.add_argument("--metrics-port", type=int, default=None,
+    cproxy.add_argument("--metrics-port", type=_PORT, default=None,
                         metavar="PORT",
                         help="expose proxy /metrics on this port "
                              "(0 picks a free port)")
-    cproxy.add_argument("--federate-port", type=int, default=None,
+    cproxy.add_argument("--federate-port", type=_PORT, default=None,
                         metavar="PORT",
                         help="serve the cluster-wide federated /metrics "
                              "(every backend page re-labeled by backend id "
                              "plus the proxy's own counters) on this port "
                              "(0 picks a free port)")
-    cproxy.add_argument("--backend-metrics", default=None,
-                        metavar="ID=URL,ID=URL,...",
+    cproxy.add_argument("--backend-metrics", type=_metrics_targets,
+                        default=None, metavar="ID=URL,ID=URL,...",
                         help="backend metrics pages to federate, as "
                              "comma-separated id=url pairs (e.g. "
                              "127.0.0.1:7411=http://127.0.0.1:9101/metrics); "
@@ -423,33 +495,36 @@ def _build_parser() -> argparse.ArgumentParser:
     cproxy.add_argument("--flight-dir", default=None, metavar="DIR",
                         help="arm the flight recorder to dump span rings "
                              "here on migration failure / SIGUSR1")
-    for name, extra in (
-        ("status", "print the live cluster map"),
-        ("migrate", "live-migrate one shard to a named backend"),
-        ("rebalance", "migrate shards until every backend is within one "
-                      "shard of even"),
-        ("drain", "live-migrate every shard off one backend so it can be "
-                  "retired"),
+    for name, handler, extra in (
+        ("status", _cmd_cluster_status, "print the live cluster map"),
+        ("migrate", _cmd_cluster_migrate,
+         "live-migrate one shard to a named backend"),
+        ("rebalance", _cmd_cluster_rebalance,
+         "migrate shards until every backend is within one shard of even"),
+        ("drain", _cmd_cluster_drain,
+         "live-migrate every shard off one backend so it can be retired"),
     ):
-        sub_parser = cluster_sub.add_parser(name, help=extra)
-        sub_parser.add_argument("--proxy", required=True, metavar="HOST:PORT",
+        sub_parser = _command(cluster_sub, name, handler, help=extra)
+        sub_parser.add_argument("--proxy", type=_address, required=True,
+                                metavar="HOST:PORT",
                                 help="a running `repro cluster proxy` front "
                                      "address")
-        sub_parser.add_argument("--timeout", type=float, default=60.0,
+        sub_parser.add_argument("--timeout", type=_POSITIVE, default=60.0,
                                 metavar="S", help="reply timeout")
         if name == "migrate":
-            sub_parser.add_argument("--shard", type=int, required=True)
-            sub_parser.add_argument("--to", required=True, metavar="ADDR",
+            sub_parser.add_argument("--shard", type=_NONNEG_INT, required=True)
+            sub_parser.add_argument("--to", type=_address, required=True,
+                                    metavar="ADDR",
                                     help="target backend host:port (must be "
                                          "in the cluster)")
         if name == "rebalance":
-            sub_parser.add_argument("--backends", default=None,
-                                    metavar="ADDR,ADDR,...",
+            sub_parser.add_argument("--backends", type=_addresses,
+                                    default=None, metavar="ADDR,ADDR,...",
                                     help="plan toward this backend set "
                                          "(default: the backends already in "
                                          "the map)")
         if name == "drain":
-            sub_parser.add_argument("backend", metavar="ADDR",
+            sub_parser.add_argument("backend", type=_address, metavar="ADDR",
                                     help="backend host:port to empty (the "
                                          "shards spread over the remaining "
                                          "backends)")
@@ -461,88 +536,108 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     replay_sub = replay_cmd.add_subparsers(dest="replay_command",
                                            required=True)
-    rrun = replay_sub.add_parser(
-        "run", help="replay once; with no overrides the cost must "
-                    "==-match the recorded live run"
+    rrun = _command(
+        replay_sub, "run", _cmd_replay_run,
+        help="replay once; with no overrides the cost must "
+             "==-match the recorded live run"
     )
     rrun.add_argument("path", help="experience file (.npz or .jsonl)")
-    rrun.add_argument("--policy", default=None,
+    rrun.add_argument("--policy", type=_policy, default=None,
                       help="alternative policy (default: the recorded one)")
-    rrun.add_argument("--k", "--cache-size", dest="cache_size", type=int,
+    rrun.add_argument("--k", "--cache-size", dest="cache_size", type=_SIZE,
                       default=None, help="alternative total cache capacity")
-    rrun.add_argument("--rate", type=float, default=None,
+    rrun.add_argument("--rate", type=_POSITIVE, default=None,
                       help="also pace the replay through a full threaded "
                            "service at this req/s (reports latency/shed)")
     rrun.add_argument("--on-overload", choices=("retry", "shed"),
                       default="retry", help="paced-mode overload policy")
-    rcompare = replay_sub.add_parser(
-        "compare", help="replay under several policies and tabulate "
-                        "against the live run"
+    rcompare = _command(
+        replay_sub, "compare", _cmd_replay_compare,
+        help="replay under several policies and tabulate against the "
+             "live run"
     )
     rcompare.add_argument("path", help="experience file (.npz or .jsonl)")
-    rcompare.add_argument("--policies", required=True,
+    rcompare.add_argument("--policies", type=_policies, required=True,
                           metavar="NAME,NAME,...",
                           help="comma-separated policy names to replay")
-    rcompare.add_argument("--k", "--cache-size", dest="cache_size", type=int,
-                          default=None,
+    rcompare.add_argument("--k", "--cache-size", dest="cache_size",
+                          type=_SIZE, default=None,
                           help="alternative total cache capacity")
-    rcompare.add_argument("--rate", type=float, default=None,
+    rcompare.add_argument("--rate", type=_POSITIVE, default=None,
                           help="pace each replay at this req/s")
     rcompare.add_argument("--on-overload", choices=("retry", "shed"),
                           default="retry", help="paced-mode overload policy")
-    rstats = replay_sub.add_parser(
-        "stats", help="summarize a recorded experience file"
+    rstats = _command(
+        replay_sub, "stats", _cmd_replay_stats,
+        help="summarize a recorded experience file"
     )
     rstats.add_argument("path", help="experience file (.npz or .jsonl)")
 
-    top = sub.add_parser(
-        "top", help="live cluster status from a (federated) /metrics page"
+    top = _command(
+        sub, "top", _cmd_top,
+        help="live cluster status from a (federated) /metrics page"
     )
     top.add_argument("--url", required=True, metavar="URL",
                      help="a /metrics page — the proxy's --federate-port "
                           "endpoint for the cluster view, or any single "
                           "backend's --metrics-port page")
-    top.add_argument("--interval", type=float, default=2.0, metavar="S",
+    top.add_argument("--interval", type=_POSITIVE, default=2.0, metavar="S",
                      help="seconds between refreshes")
-    top.add_argument("--iterations", type=int, default=0, metavar="N",
+    top.add_argument("--iterations", type=_NONNEG_INT, default=0, metavar="N",
                      help="stop after N refreshes (0 = until SIGINT)")
     top.add_argument("--once", action="store_true",
                      help="print one snapshot (no rate deltas) and exit")
     return parser
 
 
+def _add_workload_args(parser: argparse.ArgumentParser) -> None:
+    """The generated-workload flags of ``run`` and ``opt bound``."""
+    parser.add_argument("--n-pages", type=_SIZE, default=32)
+    parser.add_argument("--cache-size", type=_SIZE, default=8)
+    parser.add_argument("--levels", type=_SIZE, default=1)
+    parser.add_argument("--requests", type=_SIZE, default=2000)
+    parser.add_argument("--workload", choices=_WORKLOADS, default="zipf")
+    parser.add_argument("--alpha", type=_NONNEG, default=0.9,
+                        help="Zipf skew (zipf/multilevel workloads)")
+    parser.add_argument("--weight-high", type=_WEIGHT, default=32.0,
+                        help="max page weight (log-uniform in [1, high])")
+    parser.add_argument("--master-seed", type=_NONNEG_INT, default=0)
+
+
 def _add_service_args(parser: argparse.ArgumentParser) -> None:
     """Flags shared by ``serve`` and ``loadgen`` (workload + service shape)."""
-    parser.add_argument("--policy", default="waterfilling",
+    parser.add_argument("--policy", type=_policy, default="waterfilling",
                         help="registered policy name (see `policies`)")
-    parser.add_argument("--k", "--cache-size", dest="cache_size", type=int,
+    parser.add_argument("--k", "--cache-size", dest="cache_size", type=_SIZE,
                         default=64, help="total cache capacity, split across shards")
-    parser.add_argument("--shards", type=int, default=4)
-    parser.add_argument("--n-pages", type=int, default=512)
-    parser.add_argument("--levels", type=int, default=1)
-    parser.add_argument("--requests", type=int, default=100_000)
+    parser.add_argument("--shards", type=_SIZE, default=4)
+    parser.add_argument("--n-pages", type=_SIZE, default=512)
+    parser.add_argument("--levels", type=_SIZE, default=1)
+    parser.add_argument("--requests", type=_SIZE, default=100_000)
     parser.add_argument("--workload", choices=_WORKLOADS, default="zipf")
-    parser.add_argument("--alpha", type=float, default=0.9,
+    parser.add_argument("--alpha", type=_NONNEG, default=0.9,
                         help="Zipf skew (zipf/multilevel workloads)")
-    parser.add_argument("--weight-high", type=float, default=32.0,
+    parser.add_argument("--weight-high", type=_WEIGHT, default=32.0,
                         help="max page weight (log-uniform in [1, high])")
-    parser.add_argument("--seed", dest="master_seed", type=int, default=0)
-    parser.add_argument("--batch-size", type=int, default=512)
+    parser.add_argument("--seed", dest="master_seed", type=_NONNEG_INT,
+                        default=0)
+    parser.add_argument("--batch-size", type=_SIZE, default=512)
     parser.add_argument("--backend", choices=("inline", "thread", "process"),
                         default="thread",
                         help="shard execution backend: inline (submitting "
                              "thread), thread (one worker thread per shard), "
                              "or process (one worker process per shard)")
-    parser.add_argument("--queue-depth", type=int, default=64,
+    parser.add_argument("--queue-depth", type=_SIZE, default=64,
                         help="max pending batches per shard before Overloaded")
     parser.add_argument("--validate", action="store_true",
                         help="verify cache invariants after every request")
-    parser.add_argument("--metrics-port", type=int, default=None, metavar="PORT",
+    parser.add_argument("--metrics-port", type=_PORT, default=None,
+                        metavar="PORT",
                         help="expose Prometheus-style /metrics on this port "
                              "(0 picks a free port)")
     parser.add_argument("--trace-dir", default=None, metavar="DIR",
                         help="write per-shard JSONL decision traces here")
-    parser.add_argument("--trace-sample", type=float, default=1.0,
+    parser.add_argument("--trace-sample", type=_FRACTION, default=1.0,
                         help="fraction of requests to trace (decision "
                              "traces and request spans alike)")
     parser.add_argument("--span-dir", default=None, metavar="DIR",
@@ -553,15 +648,17 @@ def _add_service_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--flight-dir", default=None, metavar="DIR",
                         help="arm the flight recorder to dump its span "
                              "rings here on shard death / SIGUSR1")
-    parser.add_argument("--faults", default=None, metavar="SPEC",
+    parser.add_argument("--faults", type=_fault_plan, default=None,
+                        metavar="SPEC",
                         help="inject faults: comma-separated "
                              "kind:shard@t[:delay_s] with kind in "
                              "kill/delay/drop (e.g. kill:0@1000)")
-    parser.add_argument("--checkpoint-interval", type=int, default=0,
+    parser.add_argument("--checkpoint-interval", type=_NONNEG_INT, default=0,
                         metavar="N",
                         help="checkpoint each shard every N requests and "
                              "recover dead workers (0 disables recovery)")
-    parser.add_argument("--max-restarts", type=int, default=3, metavar="N",
+    parser.add_argument("--max-restarts", type=_NONNEG_INT, default=3,
+                        metavar="N",
                         help="per-shard worker restart budget before the "
                              "shard is marked failed")
     parser.add_argument("--record", default=None, metavar="PATH",
@@ -574,12 +671,12 @@ def _add_service_args(parser: argparse.ArgumentParser) -> None:
 def _make_workload(args) -> tuple[MultiLevelInstance, object]:
     n, k, l = args.n_pages, args.cache_size, args.levels
     if args.workload == "multilevel" or l > 1:
-        inst = _flag_instance(geometric_instance, n, k, max(l, 2))
+        inst = geometric_instance(n, k, max(l, 2))
         seq = multilevel_stream(n, inst.n_levels, args.requests,
                                 alpha=args.alpha, rng=args.master_seed)
         return inst, seq
     weights = sample_weights(n, rng=args.master_seed, high=args.weight_high)
-    inst = _flag_instance(WeightedPagingInstance, k, weights)
+    inst = WeightedPagingInstance(k, weights)
     if args.workload == "zipf":
         seq = zipf_stream(n, args.requests, alpha=args.alpha, rng=args.master_seed)
     elif args.workload == "uniform":
@@ -595,15 +692,13 @@ def _make_workload(args) -> tuple[MultiLevelInstance, object]:
 
 
 def _cmd_run(args) -> int:
-    names = [p.strip() for p in args.policies.split(",") if p.strip()]
-    unknown = [p for p in names if p not in policy_registry]
-    if unknown:
-        print(f"unknown policies: {', '.join(unknown)}", file=sys.stderr)
-        print(f"available: {', '.join(sorted(policy_registry))}", file=sys.stderr)
-        return 2
+    names = args.policies
+    if args.trace and (len(names) != 1 or args.seeds != 1):
+        args.parser.error("--trace records one decision stream: use a "
+                          "single policy and --seeds 1")
     inst, seq = _make_workload(args)
     if args.trace:
-        return _run_traced(args, names, inst, seq)
+        return _run_traced(args, names[0], inst, seq)
     opt_value = None
     if args.opt:
         opt = best_opt_bound(inst, seq)
@@ -630,16 +725,11 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _run_traced(args, names, inst, seq) -> int:
+def _run_traced(args, name, inst, seq) -> int:
     """``run --trace``: one traced simulate, summary table + trace file."""
     from repro.obs import DecisionTracer
     from repro.sim import simulate
 
-    if len(names) != 1 or args.seeds != 1:
-        print("--trace records one decision stream: use a single policy "
-              "and --seeds 1", file=sys.stderr)
-        return 2
-    name = names[0]
     with DecisionTracer(args.trace, sample=args.trace_sample,
                         seed=args.master_seed, source=name) as tracer:
         result = simulate(inst, seq, policy_registry[name](),
@@ -656,22 +746,21 @@ def _run_traced(args, names, inst, seq) -> int:
     return 0
 
 
-def _cmd_trace(args) -> int:
-    """``trace replay`` / ``validate`` / ``stitch`` over JSONL traces."""
-    from repro.obs import replay_trace, validate_trace
+def _cmd_trace_replay(args) -> int:
+    """``trace replay``: re-render a JSONL decision trace."""
+    from repro.obs import replay_trace
 
-    try:
-        if args.trace_command == "stitch":
-            return _cmd_trace_stitch(args)
-        if args.trace_command == "validate":
-            report = validate_trace(args.path)
-            print(report.render())
-            return 0 if report.ok else 1
-        print(replay_trace(args.path).render(top=args.top))
-        return 0
-    except FileNotFoundError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    print(replay_trace(args.path).render(top=args.top))
+    return 0
+
+
+def _cmd_trace_validate(args) -> int:
+    """``trace validate``: check a trace against the trace schema."""
+    from repro.obs import validate_trace
+
+    report = validate_trace(args.path)
+    print(report.render())
+    return 0 if report.ok else 1
 
 
 def _cmd_trace_stitch(args) -> int:
@@ -703,7 +792,7 @@ def _cmd_trace_stitch(args) -> int:
     return 0
 
 
-def _cmd_policies() -> int:
+def _cmd_policies(args) -> int:
     table = Table(["name", "class"], title="registered policies")
     for name in sorted(policy_registry):
         table.add_row(name, policy_registry[name].__name__)
@@ -711,9 +800,15 @@ def _cmd_policies() -> int:
     return 0
 
 
+def _cmd_report(args) -> int:
+    from repro.analysis.report import consolidate_results
+
+    print(consolidate_results(args.results_dir))
+    return 0
+
+
 def _cmd_verify(args) -> int:
-    inst = _flag_instance(geometric_instance, args.n_pages, args.cache_size,
-                          args.levels)
+    inst = geometric_instance(args.n_pages, args.cache_size, args.levels)
     seq = multilevel_stream(args.n_pages, args.levels, args.requests,
                             rng=args.seed)
     print(f"instance: {inst}; {len(seq)} requests\n")
@@ -775,9 +870,6 @@ def _cmd_lower_bound(args) -> int:
     )
     from repro.sim import simulate
 
-    if args.policy not in policy_registry:
-        print(f"unknown policy {args.policy!r}", file=sys.stderr)
-        return 2
     family = hard_instance_family(
         args.elements, args.sets, args.cover_size, rng=args.seed
     )
@@ -803,6 +895,16 @@ def _cmd_lower_bound(args) -> int:
     return 0
 
 
+def _load_experience(args, path: str):
+    """A recorded experience file; unreadable or malformed is one error line."""
+    from repro.control import Experience
+
+    try:
+        return Experience.load(path)
+    except (OSError, KeyError, ValueError) as exc:
+        args.parser.error(f"cannot load experience {path!r}: {exc}")
+
+
 def _cmd_opt_bound(args) -> int:
     """``opt bound``: the certified OPT sandwich for a workload/recording."""
     from repro.errors import StateSpaceTooLargeError
@@ -816,15 +918,9 @@ def _cmd_opt_bound(args) -> int:
     )
 
     if args.experience:
-        from repro.control.experience import Experience
         from repro.core.requests import RequestSequence
 
-        try:
-            exp = Experience.load(args.experience)
-        except (FileNotFoundError, OSError, KeyError, ValueError) as exc:
-            print(f"cannot load experience {args.experience!r}: {exc}",
-                  file=sys.stderr)
-            return 2
+        exp = _load_experience(args, args.experience)
         inst = exp.instance()
         pages, levels = exp.merged()
         seq = RequestSequence(pages, levels)
@@ -832,20 +928,7 @@ def _cmd_opt_bound(args) -> int:
     else:
         inst, seq = _make_workload(args)
         source = f"{args.workload} workload"
-    thresholds = DEFAULT_THRESHOLDS
-    if args.thresholds:
-        try:
-            thresholds = tuple(
-                float(v) for v in args.thresholds.split(",") if v.strip()
-            )
-        except ValueError:
-            print(f"--thresholds must be comma-separated floats in (0, 1], "
-                  f"got {args.thresholds!r}", file=sys.stderr)
-            return 2
-        if not thresholds or any(not 0 < t <= 1 for t in thresholds):
-            print(f"--thresholds must be comma-separated floats in (0, 1], "
-                  f"got {args.thresholds!r}", file=sys.stderr)
-            return 2
+    thresholds = args.thresholds or DEFAULT_THRESHOLDS
     divisor = lp_divisor(inst)
 
     dp_value = None
@@ -855,8 +938,7 @@ def _cmd_opt_bound(args) -> int:
                                               max_states=args.max_states)
         except StateSpaceTooLargeError as exc:
             if args.prefer == "dp":
-                print(f"exact DP infeasible: {exc}", file=sys.stderr)
-                return 2
+                args.parser.error(f"exact DP infeasible: {exc}")
     lp_value = None
     lp_method = None
     solution = None
@@ -932,7 +1014,6 @@ def _make_service(args):
     all metric calls hit the no-op sink); ``--trace-dir`` attaches one
     decision tracer per shard before any traffic.
     """
-    from repro.errors import ServiceConfigError
     from repro.obs import MetricsRegistry
     from repro.service import PagingService, ServiceConfig
 
@@ -943,30 +1024,21 @@ def _make_service(args):
                 if (args.metrics_port is not None
                     or getattr(args, "controller", False))
                 else None)
-    try:
-        fault_plan = None
-        if args.faults is not None:
-            from repro.faults import FaultPlan
-
-            fault_plan = FaultPlan.parse(args.faults)
-        config = ServiceConfig.from_policy_name(
-            args.policy, inst,
-            n_shards=args.shards,
-            batch_size=args.batch_size,
-            queue_depth=args.queue_depth,
-            seed=args.master_seed,
-            validate=args.validate,
-            metrics_registry=registry,
-            fault_plan=fault_plan,
-            checkpoint_interval=args.checkpoint_interval,
-            max_restarts=args.max_restarts,
-            backend=args.backend,
-        )
-    except ServiceConfigError as exc:
-        print(str(exc), file=sys.stderr)
-        return None, None
-    if fault_plan is not None:
-        print(f"fault plan: {fault_plan} "
+    config = ServiceConfig.from_policy_name(
+        args.policy, inst,
+        n_shards=args.shards,
+        batch_size=args.batch_size,
+        queue_depth=args.queue_depth,
+        seed=args.master_seed,
+        validate=args.validate,
+        metrics_registry=registry,
+        fault_plan=args.faults,
+        checkpoint_interval=args.checkpoint_interval,
+        max_restarts=args.max_restarts,
+        backend=args.backend,
+    )
+    if args.faults is not None:
+        print(f"fault plan: {args.faults} "
               f"(checkpoint_interval={args.checkpoint_interval}, "
               f"max_restarts={args.max_restarts})")
     service = PagingService(config)
@@ -990,13 +1062,13 @@ def _make_service(args):
     return service, seq
 
 
-def _start_metrics_server(args, service):
+def _start_metrics_server(args, registry):
     """Start the /metrics HTTP thread when ``--metrics-port`` was given."""
     if args.metrics_port is None:
         return None
     from repro.obs import MetricsServer
 
-    server = MetricsServer(service.registry, port=args.metrics_port).start()
+    server = MetricsServer(registry, port=args.metrics_port).start()
     print(f"metrics exposed at {server.url}")
     return server
 
@@ -1035,15 +1107,11 @@ def _save_experience(args, recorder, service) -> None:
           f"{service.config.n_shards} shard(s))")
 
 
-def _start_controller(args, service, net):
+def _start_controller(config, args, service, net):
     """``serve --listen --controller``: close the admission loop."""
-    from repro.control import Actuator, AdmissionController, ControllerConfig
+    from repro.control import Actuator, AdmissionController
     from repro.obs import SignalReader
 
-    config = ControllerConfig(interval_s=args.ctl_interval,
-                              high_water=args.ctl_high,
-                              low_water=args.ctl_low,
-                              dwell_s=args.ctl_dwell)
     actuators = [
         Actuator("inflight", lo=max(1, args.inflight // 8),
                  hi=args.inflight, apply=net.set_max_inflight),
@@ -1124,9 +1192,7 @@ def _cmd_serve(args) -> int:
     if args.listen is not None:
         return _cmd_serve_net(args)
     service, seq = _make_service(args)
-    if service is None:
-        return 2
-    metrics_server = _start_metrics_server(args, service)
+    metrics_server = _start_metrics_server(args, service.registry)
     recorder = _attach_recorder(args, service)
     b = args.batch_size
     print(f"serving {len(seq)} requests through {service!r}\n")
@@ -1178,30 +1244,26 @@ def _cmd_serve_net(args) -> int:
     then stop the service under one shared ``--stop-timeout`` deadline,
     then print the final snapshot and exit 0.
     """
-    from repro.errors import ServiceConfigError
+    from repro.control import ControllerConfig
     from repro.net import AdmissionPolicy, NetServer, parse_address
 
+    host, port = parse_address(args.listen)
+    admission = AdmissionPolicy(
+        max_connections=args.max_connections,
+        max_inflight=args.inflight,
+        request_deadline_s=args.deadline,
+    )
+    # Built before the service starts, so a --ctl-low/--ctl-high clash
+    # is rejected without binding a port.
+    ctl_config = ControllerConfig(
+        interval_s=args.ctl_interval, high_water=args.ctl_high,
+        low_water=args.ctl_low, dwell_s=args.ctl_dwell,
+    ) if args.controller else None
     service, _ = _make_service(args)
-    if service is None:
-        return 2
-    try:
-        host, port = parse_address(args.listen)
-        admission = AdmissionPolicy(
-            max_connections=args.max_connections,
-            max_inflight=args.inflight,
-            request_deadline_s=args.deadline,
-        )
-    except (ValueError, ServiceConfigError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    net_faults = None
     if args.net_faults is not None:
-        from repro.faults import FaultPlan
-
-        net_faults = FaultPlan.parse(args.net_faults)
-        print(f"net fault plan: {net_faults} "
+        print(f"net fault plan: {args.net_faults} "
               "(shard = connection index, t = submit index)")
-    metrics_server = _start_metrics_server(args, service)
+    metrics_server = _start_metrics_server(args, service.registry)
     net_spans = None
     if args.span_dir is not None:
         from pathlib import Path
@@ -1218,20 +1280,19 @@ def _cmd_serve_net(args) -> int:
             _install_flight_dump_signal()
             service.start()
             net = NetServer(service, host=host, port=port,
-                            admission=admission, fault_plan=net_faults,
+                            admission=admission, fault_plan=args.net_faults,
                             span_exporter=net_spans)
             try:
                 net.start()
             except OSError as exc:
-                print(f"cannot listen on {args.listen}: {exc}",
-                      file=sys.stderr)
-                return 2
+                args.parser.error(f"cannot listen on {args.listen}: {exc}")
             print(f"listening on {net.host}:{net.port}", flush=True)
             print(f"admission: {admission.max_connections} connections, "
                   f"{admission.max_inflight} in-flight each, "
                   f"{admission.request_deadline_s:g}s deadline", flush=True)
             if args.controller:
-                controller = _start_controller(args, service, net)
+                controller = _start_controller(ctl_config, args, service,
+                                               net)
             stop.event.wait()
         print(f"signal received: closing listener, draining service "
               f"(timeout {args.stop_timeout:g}s)")
@@ -1255,13 +1316,8 @@ def _cmd_serve_net(args) -> int:
 
 def _cmd_loadgen_net(args) -> int:
     """``loadgen --connect``: drive a remote server over the wire protocol."""
-    from repro.net import RemoteError, parse_address, run_network_load
+    from repro.net import RemoteError, run_network_load
 
-    try:
-        parse_address(args.connect)
-    except ValueError as exc:
-        print(f"loadgen: {exc}", file=sys.stderr)
-        return 2
     _, seq = _make_workload(args)
     profile = _make_profile(args)
     print(f"load: {len(seq)} requests at {args.rate:,.0f} req/s over "
@@ -1288,8 +1344,7 @@ def _cmd_loadgen_net(args) -> int:
             profile=profile,
         )
     except (OSError, RemoteError) as exc:
-        print(f"network load failed: {exc}", file=sys.stderr)
-        return 2
+        args.parser.error(f"network load failed: {exc}")
     print(report.render())
     return 0 if report.n_served else 1
 
@@ -1300,9 +1355,7 @@ def _cmd_loadgen(args) -> int:
     if args.connect is not None:
         return _cmd_loadgen_net(args)
     service, seq = _make_service(args)
-    if service is None:
-        return 2
-    metrics_server = _start_metrics_server(args, service)
+    metrics_server = _start_metrics_server(args, service.registry)
     recorder = _attach_recorder(args, service)
     profile = _make_profile(args)
     print(f"load: {len(seq)} requests at {args.rate:,.0f} req/s "
@@ -1330,51 +1383,24 @@ def _cmd_loadgen(args) -> int:
 def _cmd_cluster_proxy(args) -> int:
     """``cluster proxy``: front the backends until SIGINT/SIGTERM."""
     from repro.cluster import ClusterMap, ClusterProxy
-    from repro.errors import ServiceConfigError
     from repro.net import PagingClient, RemoteError, parse_address
 
-    backends = [b.strip() for b in args.backends.split(",") if b.strip()]
-    try:
-        host, port = parse_address(args.listen)
-        for backend in backends:
-            parse_address(backend)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    if not backends:
-        print("--backends must name at least one host:port", file=sys.stderr)
-        return 2
-    # Validate flags before any network dial, so a typo fails fast.
-    federation_targets: dict[str, str] = {}
-    if args.backend_metrics is not None:
-        for pair in args.backend_metrics.split(","):
-            pair = pair.strip()
-            if not pair:
-                continue
-            backend_id, sep, url = pair.partition("=")
-            if not sep or not backend_id or not url:
-                print(f"--backend-metrics entries must be id=url, "
-                      f"got {pair!r}", file=sys.stderr)
-                return 2
-            federation_targets[backend_id] = url
+    backends = args.backends
+    host, port = parse_address(args.listen)
+    federation_targets = dict(args.backend_metrics or ())
+    # Checked before any network dial, so a typo fails fast.
     if args.federate_port is None and federation_targets:
-        print("--backend-metrics requires --federate-port", file=sys.stderr)
-        return 2
+        args.parser.error("--backend-metrics requires --federate-port")
     n_shards = args.shards
-    try:
-        if n_shards is None:
+    if n_shards is None:
+        try:
             with PagingClient(backends[0], timeout=args.timeout) as probe:
                 n_shards = len(probe.snapshot()["shards"])
-            print(f"shard count from {backends[0]}: {n_shards}")
-        cmap = ClusterMap.balanced(backends, n_shards)
-    except (OSError, RemoteError) as exc:
-        print(f"cannot reach backend {backends[0]}: {exc}", file=sys.stderr)
-        return 2
-    except ServiceConfigError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+        except (OSError, RemoteError) as exc:
+            args.parser.error(f"cannot reach backend {backends[0]}: {exc}")
+        print(f"shard count from {backends[0]}: {n_shards}")
+    cmap = ClusterMap.balanced(backends, n_shards)
     registry = None
-    metrics_server = None
     federation_server = None
     if args.metrics_port is not None or args.federate_port is not None:
         from repro.obs import MetricsRegistry
@@ -1405,20 +1431,15 @@ def _cmd_cluster_proxy(args) -> int:
         registry=registry,
         span_exporter=span_exporter,
     )
+    metrics_server = None
     try:
         with _SignalStop() as stop:
             _install_flight_dump_signal()
             try:
                 proxy.start(check_backends=True)
             except (OSError, RemoteError) as exc:
-                print(f"cluster proxy failed to start: {exc}", file=sys.stderr)
-                return 2
-            if args.metrics_port is not None:
-                from repro.obs import MetricsServer
-
-                metrics_server = MetricsServer(
-                    registry, port=args.metrics_port).start()
-                print(f"metrics exposed at {metrics_server.url}")
+                args.parser.error(f"cluster proxy failed to start: {exc}")
+            metrics_server = _start_metrics_server(args, registry)
             if args.federate_port is not None:
                 from repro.obs import FederationServer, Federator
 
@@ -1456,124 +1477,128 @@ def _render_cluster_status(status: dict) -> str:
     return f"{table.render()}\nspread: {spread}"
 
 
-def _cmd_cluster_control(args) -> int:
-    """``cluster status`` / ``migrate`` / ``rebalance`` against a proxy."""
+def _proxy_command(action):
+    """A cluster control handler: ``action(args, client)`` over one
+    connection to ``--proxy``; a transport failure exits 1."""
+
+    def handler(args) -> int:
+        from repro.net import PagingClient, RemoteError
+
+        try:
+            with PagingClient(args.proxy, timeout=args.timeout) as client:
+                return action(args, client)
+        except (OSError, RemoteError) as exc:
+            print(f"cluster {args.cluster_command} failed: {exc}",
+                  file=sys.stderr)
+            return 1
+
+    return handler
+
+
+def _apply_moves(args, client, moves) -> int:
+    """Run planned ``(shard, source, target)`` moves; 1 at the first failure."""
+    for shard, _source, target in moves:
+        reply = client.move_shard(shard, target, timeout=args.timeout)
+        print(reply.detail)
+        if not reply.ok:
+            return 1
+    return 0
+
+
+@_proxy_command
+def _cmd_cluster_status(args, client) -> int:
+    print(_render_cluster_status(client.cluster_status()))
+    return 0
+
+
+@_proxy_command
+def _cmd_cluster_migrate(args, client) -> int:
+    reply = client.move_shard(args.shard, args.to, timeout=args.timeout)
+    print(reply.detail)
+    if reply.ok:
+        print(f"epoch now {reply.epoch}")
+    return 0 if reply.ok else 1
+
+
+@_proxy_command
+def _cmd_cluster_drain(args, client) -> int:
+    # Same deterministic plan drain_backend() follows: the shrunk pool's
+    # rebalance moves, restricted to the drained backend's shards.
     from repro.cluster import ClusterMap
-    from repro.net import PagingClient, RemoteError, parse_address
 
-    try:
-        parse_address(args.proxy)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    try:
-        with PagingClient(args.proxy, timeout=args.timeout) as client:
-            if args.cluster_command == "status":
-                print(_render_cluster_status(client.cluster_status()))
-                return 0
-            if args.cluster_command == "migrate":
-                reply = client.move_shard(args.shard, args.to,
-                                          timeout=args.timeout)
-                print(reply.detail)
-                if reply.ok:
-                    print(f"epoch now {reply.epoch}")
-                return 0 if reply.ok else 1
-            if args.cluster_command == "drain":
-                # Same deterministic plan drain_backend() follows: the
-                # shrunk pool's rebalance moves, restricted to the
-                # drained backend's shards.
-                cmap = ClusterMap.from_dict(client.cluster_status())
-                if args.backend not in cmap.backends:
-                    print(f"backend {args.backend!r} not in cluster "
-                          f"{list(cmap.backends)}", file=sys.stderr)
-                    return 2
-                remaining = [b for b in cmap.backends if b != args.backend]
-                if not remaining:
-                    print(f"cannot drain {args.backend!r}: it is the last "
-                          f"backend", file=sys.stderr)
-                    return 2
-                moves = [(s, src, t)
-                         for s, src, t in cmap.rebalance_moves(remaining)
-                         if src == args.backend]
-                for shard, _source, target in moves:
-                    reply = client.move_shard(shard, target,
-                                              timeout=args.timeout)
-                    print(reply.detail)
-                    if not reply.ok:
-                        return 1
-                print(f"drained {len(moves)} shard(s) off {args.backend}")
-                print(_render_cluster_status(client.cluster_status()))
-                return 0
-            # rebalance: plan locally from the live map, apply move by move.
-            status = client.cluster_status()
-            cmap = ClusterMap.from_dict(status)
-            pool = None
-            if args.backends is not None:
-                pool = [b.strip() for b in args.backends.split(",")
-                        if b.strip()]
-            moves = cmap.rebalance_moves(pool)
-            if not moves:
-                print(f"already balanced: {cmap!r}")
-                return 0
-            for shard, source, target in moves:
-                reply = client.move_shard(shard, target, timeout=args.timeout)
-                print(reply.detail)
-                if not reply.ok:
-                    return 1
-            print(_render_cluster_status(client.cluster_status()))
-            return 0
-    except (OSError, RemoteError) as exc:
-        print(f"cluster {args.cluster_command} failed: {exc}", file=sys.stderr)
+    cmap = ClusterMap.from_dict(client.cluster_status())
+    if args.backend not in cmap.backends:
+        args.parser.error(f"backend {args.backend!r} not in cluster "
+                          f"{list(cmap.backends)}")
+    remaining = [b for b in cmap.backends if b != args.backend]
+    if not remaining:
+        args.parser.error(f"cannot drain {args.backend!r}: it is the last "
+                          f"backend")
+    moves = [move for move in cmap.rebalance_moves(remaining)
+             if move[1] == args.backend]
+    if _apply_moves(args, client, moves):
         return 1
+    print(f"drained {len(moves)} shard(s) off {args.backend}")
+    print(_render_cluster_status(client.cluster_status()))
+    return 0
 
 
-def _cmd_cluster(args) -> int:
-    if args.cluster_command == "proxy":
-        return _cmd_cluster_proxy(args)
-    return _cmd_cluster_control(args)
+@_proxy_command
+def _cmd_cluster_rebalance(args, client) -> int:
+    # Plan locally from the live map, apply move by move.
+    from repro.cluster import ClusterMap
+
+    cmap = ClusterMap.from_dict(client.cluster_status())
+    moves = cmap.rebalance_moves(args.backends)
+    if not moves:
+        print(f"already balanced: {cmap!r}")
+        return 0
+    if _apply_moves(args, client, moves):
+        return 1
+    print(_render_cluster_status(client.cluster_status()))
+    return 0
 
 
-def _cmd_replay(args) -> int:
-    """``replay run|compare|stats`` over an experience file."""
-    from repro.control import Experience, ReplayEngine
-    from repro.errors import ServiceConfigError
+def _cmd_replay_stats(args) -> int:
+    """``replay stats``: the shape of a recorded experience file."""
+    experience = _load_experience(args, args.path)
+    live = experience.meta.get("live", {})
+    stats = experience.stats()
+    table = Table(["shard", "requests"], title=f"experience: {args.path}")
+    for shard, count in enumerate(stats["per_shard"]):
+        table.add_row(shard, count)
+    print(table.render())
+    levels = ", ".join(f"L{lv}:{n}"
+                       for lv, n in stats["level_counts"].items())
+    print(f"{stats['n_requests']} requests, "
+          f"{stats['unique_pages']} unique pages, levels {levels}")
+    meta = experience.meta
+    print(f"recorded: policy={meta['policy']} k={meta['cache_size']} "
+          f"shards={meta['n_shards']} seed={meta['seed']} "
+          f"live cost={live.get('eviction_cost', 0.0):.1f}")
+    return 0
 
-    try:
-        experience = Experience.load(args.path)
-    except FileNotFoundError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+
+def _cmd_replay_compare(args) -> int:
+    """``replay compare``: several policies against the live run."""
+    from repro.control import ReplayEngine
+
+    engine = ReplayEngine(_load_experience(args, args.path))
+    print(engine.compare(args.policies, cache_size=args.cache_size,
+                         rate=args.rate,
+                         on_overload=args.on_overload).render())
+    return 0
+
+
+def _cmd_replay_run(args) -> int:
+    """``replay run``: replay once; with no overrides, ``==`` the live cost."""
+    from repro.control import ReplayEngine
+
+    experience = _load_experience(args, args.path)
     engine = ReplayEngine(experience)
     live = experience.meta.get("live", {})
-    if args.replay_command == "stats":
-        stats = experience.stats()
-        table = Table(["shard", "requests"],
-                      title=f"experience: {args.path}")
-        for shard, count in enumerate(stats["per_shard"]):
-            table.add_row(shard, count)
-        print(table.render())
-        levels = ", ".join(f"L{lv}:{n}"
-                           for lv, n in stats["level_counts"].items())
-        print(f"{stats['n_requests']} requests, "
-              f"{stats['unique_pages']} unique pages, levels {levels}")
-        meta = experience.meta
-        print(f"recorded: policy={meta['policy']} k={meta['cache_size']} "
-              f"shards={meta['n_shards']} seed={meta['seed']} "
-              f"live cost={live.get('eviction_cost', 0.0):.1f}")
-        return 0
-    try:
-        if args.replay_command == "compare":
-            names = [p.strip() for p in args.policies.split(",")
-                     if p.strip()]
-            print(engine.compare(names, cache_size=args.cache_size,
-                                 rate=args.rate,
-                                 on_overload=args.on_overload).render())
-            return 0
-        result = engine.run(policy=args.policy, cache_size=args.cache_size,
-                            rate=args.rate, on_overload=args.on_overload)
-    except ServiceConfigError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    result = engine.run(policy=args.policy, cache_size=args.cache_size,
+                        rate=args.rate, on_overload=args.on_overload)
     table = Table(["config", "cost", "hits", "misses", "evictions"],
                   title=f"replay of {args.path}")
     table.add_row(f"live ({experience.meta['policy']})",
@@ -1743,49 +1768,22 @@ def _cmd_top(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
-    args = _build_parser().parse_args(argv)
+    """CLI entry point; returns the process exit code.
+
+    A rejected input exits 2 with one stderr line that names the flag or
+    the file: the parser's own errors (ranges, lists, addresses,
+    cross-flag rules) and the library's input errors raised while the
+    command's handler runs.
+    """
     try:
-        _check_size_flags(args)
-        return _dispatch(args)
-    except _FlagError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-
-
-def _dispatch(args) -> int:
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "policies":
-        return _cmd_policies()
-    if args.command == "mrc":
-        return _cmd_mrc(args)
-    if args.command == "lower-bound":
-        return _cmd_lower_bound(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "loadgen":
-        return _cmd_loadgen(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "cluster":
-        return _cmd_cluster(args)
-    if args.command == "opt":
-        return _cmd_opt_bound(args)
-    if args.command == "replay":
-        return _cmd_replay(args)
-    if args.command == "top":
-        return _cmd_top(args)
-    if args.command == "report":
-        from repro.analysis.report import consolidate_results
-
+        args = _build_parser().parse_args(argv)
         try:
-            print(consolidate_results(args.results_dir))
-        except FileNotFoundError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        return 0
-    return _cmd_verify(args)
+            return args.handler(args)
+        except (InvalidInstanceError, ServiceConfigError,
+                FileNotFoundError) as exc:
+            args.parser.error(str(exc))
+    except SystemExit as exc:  # --help (0) or a rejection, already printed
+        return exc.code
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

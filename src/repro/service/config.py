@@ -46,9 +46,6 @@ class ServiceConfig:
     validate:
         Run the simulator's per-request invariant verification inside the
         engines (slower; on by default in tests, off for serving).
-    latency_window:
-        Number of recent batch service times kept per shard for
-        percentile estimates.
     metrics_registry:
         Optional :class:`~repro.obs.MetricsRegistry` the service and its
         shard engines publish exposition metrics into.  ``None`` (the
@@ -65,21 +62,20 @@ class ServiceConfig:
         times is marked *failed*: its pending tickets complete with a
         failure result and future submissions touching it return
         :class:`~repro.service.ingest.Failed`.
-    replay_log_cap:
-        Maximum in-memory replay-log entries per shard.  Reaching the cap
-        forces an early checkpoint (which prunes the log), bounding
-        recovery memory at ``cap`` batches regardless of the interval.
     fault_plan:
         Optional :class:`~repro.faults.FaultPlan` — the deterministic
         chaos schedule injected into the shard workers.  ``None`` (the
         default) injects nothing; production configs never set this.
+        Every spec must name a shard below ``n_shards``.
     backend:
         Shard execution backend, one of ``"inline"``, ``"thread"`` (the
         default) or ``"process"``:
 
         * ``inline`` — :meth:`~repro.service.server.PagingService.start`
           is a no-op; batches are served on the submitting thread.
-          Deterministic, zero queueing — the benchmark/test mode.
+          Deterministic, zero queueing — the benchmark/test mode.  There
+          is no shard worker to fail or recover, so it takes neither a
+          ``fault_plan`` nor a ``checkpoint_interval``.
         * ``thread`` — one worker thread per shard after ``start()``
           (submissions before ``start()`` still serve inline).  Buys
           queueing and backpressure, not CPU parallelism (the serve
@@ -100,14 +96,12 @@ class ServiceConfig:
     flush_interval: float = 0.005
     seed: int = 0
     validate: bool = False
-    latency_window: int = 4096
     policy_name: str = field(default="", compare=False)
     metrics_registry: MetricsRegistry | None = field(
         default=None, compare=False, repr=False
     )
     checkpoint_interval: int = 0
     max_restarts: int = 3
-    replay_log_cap: int = 1024
     fault_plan: object | None = field(default=None, compare=False, repr=False)
     backend: str = "thread"
 
@@ -129,10 +123,6 @@ class ServiceConfig:
             raise ServiceConfigError(
                 f"flush_interval must be > 0, got {self.flush_interval}"
             )
-        if self.latency_window < 1:
-            raise ServiceConfigError(
-                f"latency_window must be >= 1, got {self.latency_window}"
-            )
         if self.checkpoint_interval < 0:
             raise ServiceConfigError(
                 f"checkpoint_interval must be >= 0, got {self.checkpoint_interval}"
@@ -141,10 +131,21 @@ class ServiceConfig:
             raise ServiceConfigError(
                 f"max_restarts must be >= 0, got {self.max_restarts}"
             )
-        if self.replay_log_cap < 1:
+        if self.backend == "inline" and (self.fault_plan is not None
+                                         or self.checkpoint_interval > 0):
             raise ServiceConfigError(
-                f"replay_log_cap must be >= 1, got {self.replay_log_cap}"
+                "the inline backend has no shard worker to fail or recover: "
+                "fault_plan and checkpoint_interval need backend 'thread' "
+                "or 'process'"
             )
+        if self.fault_plan is not None:
+            shard = max((spec.shard for spec in self.fault_plan.specs),
+                        default=-1)
+            if shard >= self.n_shards:
+                raise ServiceConfigError(
+                    f"fault plan names shard {shard}, but the service has "
+                    f"{self.n_shards} shard(s)"
+                )
         k = self.instance.cache_size
         if self.n_shards > k:
             raise ServiceConfigError(

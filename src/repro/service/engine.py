@@ -61,7 +61,6 @@ class ShardEngine:
         rng: np.random.Generator,
         *,
         validate: bool = False,
-        latency_window: int = 4096,
         registry: MetricsRegistry | None = None,
     ) -> None:
         reg = registry if registry is not None else null_registry()
@@ -72,7 +71,6 @@ class ShardEngine:
         self.ledger = ServiceLedger(registry=reg, shard=shard_id)
         self.cache = MultiLevelCache(instance, self.ledger)
         self.latency = LatencyHistogram(
-            latency_window,
             metric=reg.histogram(
                 "repro_batch_latency_seconds",
                 "Batch service time per shard",

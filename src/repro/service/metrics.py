@@ -38,6 +38,9 @@ __all__ = [
     "ServiceSnapshot",
 ]
 
+#: Recent batch service times each shard keeps for percentile estimates.
+LATENCY_WINDOW = 4096
+
 
 class ServiceLedger(CostLedger):
     """Cost ledger with per-level eviction breakdowns for serving metrics.
@@ -168,7 +171,8 @@ class LatencyHistogram:
     __slots__ = ("_window", "_samples", "_pos", "count", "total_seconds",
                  "_metric")
 
-    def __init__(self, window: int = 4096, *, metric=NULL_METRIC) -> None:
+    def __init__(self, window: int = LATENCY_WINDOW, *,
+                 metric=NULL_METRIC) -> None:
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         self._window = window

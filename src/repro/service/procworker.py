@@ -85,7 +85,6 @@ class WorkerSpec:
     policy_factory: object
     rng_seed: int
     validate: bool = False
-    latency_window: int = 4096
     #: Optional tracing config: (path, sample, seed, max_events, source).
     trace: tuple | None = None
     #: True on respawn: re-open the trace file without a new meta line.
@@ -115,7 +114,6 @@ def _child_main(conn, spec: WorkerSpec) -> None:
         spec.policy_factory(),
         np.random.default_rng(spec.rng_seed),
         validate=spec.validate,
-        latency_window=spec.latency_window,
     )
     tracer = None
     if spec.trace is not None:
@@ -197,7 +195,6 @@ class ProcEngine:
         rng_seed: int,
         *,
         validate: bool = False,
-        latency_window: int = 4096,
         registry: MetricsRegistry | None = None,
     ) -> None:
         reg = registry if registry is not None else null_registry()
@@ -207,7 +204,6 @@ class ProcEngine:
         self.ledger = _MirrorLedger()
         self.profiler = PhaseProfiler()
         self.latency = LatencyHistogram(
-            latency_window,
             metric=reg.histogram(
                 "repro_batch_latency_seconds",
                 "Batch service time per shard",
@@ -220,7 +216,6 @@ class ProcEngine:
             policy_factory=policy_factory,
             rng_seed=rng_seed,
             validate=validate,
-            latency_window=latency_window,
         )
         self._t = 0
         self.n_batches = 0

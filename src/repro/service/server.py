@@ -72,6 +72,11 @@ from repro.sim.seeding import spawn_seeds
 
 __all__ = ["PagingService"]
 
+#: Maximum in-memory replay-log entries per shard.  Reaching the cap forces
+#: an early checkpoint (which prunes the log), bounding recovery memory at
+#: this many batches regardless of ``checkpoint_interval``.
+REPLAY_LOG_CAP = 1024
+
 _STOP = object()
 
 
@@ -147,7 +152,6 @@ class PagingService:
                 ProcEngine(
                     i, inst, config.policy_factory, seed,
                     validate=config.validate,
-                    latency_window=config.latency_window,
                     registry=self.registry,
                 )
                 for i, (inst, seed) in enumerate(
@@ -160,7 +164,6 @@ class PagingService:
                     i, inst, config.policy_factory(),
                     np.random.default_rng(seed),
                     validate=config.validate,
-                    latency_window=config.latency_window,
                     registry=self.registry,
                 )
                 for i, (inst, seed) in enumerate(
@@ -623,7 +626,7 @@ class PagingService:
         self._complete_part(part)
         if self._recovery:
             if (state.since_checkpoint >= self.config.checkpoint_interval
-                    or len(state.log) >= self.config.replay_log_cap):
+                    or len(state.log) >= REPLAY_LOG_CAP):
                 self._take_checkpoint(state, engine)
         else:
             self._prune_log(state)

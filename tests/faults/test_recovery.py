@@ -10,6 +10,7 @@ from repro.core.instance import WeightedPagingInstance
 from repro.errors import InjectedFault, ServiceStateError
 from repro.faults import FaultPlan
 from repro.service import Failed, PagingService, ServiceConfig
+from repro.service import server as service_server
 from repro.workloads import sample_weights, zipf_stream
 
 N_SHARDS = 4
@@ -122,6 +123,37 @@ class TestRecovery:
         # The kill landed mid-interval, so at least the in-hand batch was
         # replayed from the log after the restore.
         assert snap.shards[1].n_replayed_batches >= 1
+
+
+class TestReplayLogCap:
+    def test_cap_forces_checkpoints_and_recovery_stays_exact(
+            self, monkeypatch, fault_free_cost):
+        # An interval this long never checkpoints: only the replay-log cap
+        # keeps the log short, and the kill must replay from that log.
+        cap = 3
+        monkeypatch.setattr(service_server, "REPLAY_LOG_CAP", cap)
+        seq = make_workload()
+        svc = make_service(fault_plan=FaultPlan.parse("kill:1@700"),
+                           checkpoint_interval=10 ** 9)
+        longest = 0
+        with svc:
+            for lo in range(0, len(seq), BATCH):
+                feed(svc, seq[lo:lo + BATCH])
+                assert svc.drain(30.0)
+                longest = max(longest,
+                              *(len(state.log) for state in svc._states))
+        assert longest <= cap
+        snap = svc.snapshot()
+        assert snap.n_worker_restarts == 1
+        # One seed checkpoint plus the ones the cap forced.
+        assert all(s.n_checkpoints > 1 for s in snap.shards)
+        clean = make_service()
+        clean.submit_batch(seq.pages, seq.levels)
+        assert svc.total_cost() == fault_free_cost
+        assert ([(e.ledger.n_hits, e.ledger.n_misses, e.ledger.eviction_cost)
+                 for e in svc.engines]
+                == [(e.ledger.n_hits, e.ledger.n_misses, e.ledger.eviction_cost)
+                    for e in clean.engines])
 
 
 class TestUnrecoverableShard:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.algorithms import LRUPolicy
 from repro.core.instance import WeightedPagingInstance
 from repro.errors import ServiceConfigError
+from repro.faults import FaultPlan
 from repro.service import PagingService, ServiceConfig, ShardRouter
 from repro.workloads import sample_weights, zipf_stream
 
@@ -88,6 +89,28 @@ class TestShardCapacities:
         inst = WeightedPagingInstance.uniform(8, 2)
         with pytest.raises(ServiceConfigError):
             ServiceConfig.from_policy_name("nonsense", inst)
+
+
+class TestFaultPlanValidation:
+    """A fault plan that could never fire is a config error, not a no-op."""
+
+    def test_plan_naming_a_missing_shard_rejected(self):
+        with pytest.raises(ServiceConfigError, match="shard 9"):
+            make_config(n_shards=2, fault_plan=FaultPlan.parse("kill:9@10"))
+        # The last shard is still a valid target.
+        make_config(n_shards=2, fault_plan=FaultPlan.parse("kill:1@10"))
+
+    @pytest.mark.parametrize("kwargs", [
+        {"fault_plan": "kill:0@10"},
+        {"checkpoint_interval": 100},
+        {"fault_plan": "kill:0@10", "checkpoint_interval": 100},
+    ])
+    def test_inline_backend_has_no_worker_to_fail(self, kwargs):
+        if "fault_plan" in kwargs:
+            kwargs = {**kwargs, "fault_plan": FaultPlan.parse(kwargs["fault_plan"])}
+        with pytest.raises(ServiceConfigError, match="inline backend"):
+            make_config(backend="inline", **kwargs)
+        make_config(backend="thread", **kwargs)
 
 
 class TestShardedDeterminism:

@@ -64,7 +64,7 @@ class TestRunCommand:
     def test_unknown_policy_rejected(self, capsys):
         rc = main(["run", "--policies", "nonsense"])
         assert rc == 2
-        assert "unknown policies" in capsys.readouterr().err
+        assert "unknown policy 'nonsense'" in capsys.readouterr().err
 
     def test_multiple_seeds(self, capsys):
         rc = main([
@@ -85,39 +85,46 @@ class TestVerifyCommand:
         assert out.count("HOLDS") == 2
 
 
-_BAD_CACHE = "invalid instance: cache_size"
+_BAD_CACHE = "error: cache_size (8) must be smaller than the number of pages (4)"
+
+
+def _size_error(command, flag, value):
+    return (f"repro {command}: error: argument {flag}: must be an integer "
+            f">= 1, got '{value}'")
 
 
 @pytest.mark.parametrize("argv,message", [
-    pytest.param(["run", "--n-pages", "4", "--cache-size", "8"], _BAD_CACHE,
-                 id="run"),
+    pytest.param(["run", "--n-pages", "4", "--cache-size", "8"],
+                 f"repro run: {_BAD_CACHE}", id="run"),
     pytest.param(["verify", "--n-pages", "4", "--cache-size", "8"],
-                 _BAD_CACHE, id="verify"),
-    pytest.param(["serve", "--n-pages", "4", "--k", "8"], _BAD_CACHE,
-                 id="serve"),
-    pytest.param(["loadgen", "--n-pages", "4", "--k", "0"], _BAD_CACHE,
-                 id="loadgen"),
+                 f"repro verify: {_BAD_CACHE}", id="verify"),
+    pytest.param(["serve", "--n-pages", "4", "--k", "8"],
+                 f"repro serve: {_BAD_CACHE}", id="serve"),
+    pytest.param(["loadgen", "--n-pages", "4", "--k", "0"],
+                 _size_error("loadgen", "--k/--cache-size", 0), id="loadgen"),
     pytest.param(["opt", "bound", "--n-pages", "4", "--cache-size", "8"],
-                 _BAD_CACHE, id="opt-bound"),
-    # Size flags are checked once, after parsing: one line naming the flag.
-    pytest.param(["run", "--n-pages", "-1"], "--n-pages must be >= 1, got -1",
-                 id="run-n-pages"),
-    pytest.param(["run", "--requests", "-5"], "--requests must be >= 1",
-                 id="run-requests"),
-    pytest.param(["run", "--levels", "0"], "--levels must be >= 1, got 0",
-                 id="run-levels"),
-    pytest.param(["verify", "--levels", "0"], "--levels must be >= 1",
-                 id="verify-levels"),
-    pytest.param(["verify", "--requests", "-1"], "--requests must be >= 1",
+                 f"repro opt bound: {_BAD_CACHE}", id="opt-bound"),
+    # Size flags are checked by the parser: one line naming the flag.
+    pytest.param(["run", "--n-pages", "-1"],
+                 _size_error("run", "--n-pages", -1), id="run-n-pages"),
+    pytest.param(["run", "--requests", "-5"],
+                 _size_error("run", "--requests", -5), id="run-requests"),
+    pytest.param(["run", "--levels", "0"],
+                 _size_error("run", "--levels", 0), id="run-levels"),
+    pytest.param(["verify", "--levels", "0"],
+                 _size_error("verify", "--levels", 0), id="verify-levels"),
+    pytest.param(["verify", "--requests", "-1"],
+                 _size_error("verify", "--requests", -1),
                  id="verify-requests"),
-    pytest.param(["mrc", "--n-pages", "0"], "--n-pages must be >= 1",
-                 id="mrc-n-pages"),
-    pytest.param(["mrc", "--max-k", "0"], "--max-k must be >= 1, got 0",
-                 id="mrc-max-k"),
+    pytest.param(["mrc", "--n-pages", "0"],
+                 _size_error("mrc", "--n-pages", 0), id="mrc-n-pages"),
+    pytest.param(["mrc", "--max-k", "0"],
+                 _size_error("mrc", "--max-k", 0), id="mrc-max-k"),
     pytest.param(["opt", "bound", "--requests", "-5"],
-                 "--requests must be >= 1", id="opt-bound-requests"),
-    pytest.param(["serve", "--requests", "-5"], "--requests must be >= 1",
-                 id="serve-requests"),
+                 _size_error("opt bound", "--requests", -5),
+                 id="opt-bound-requests"),
+    pytest.param(["serve", "--requests", "-5"],
+                 _size_error("serve", "--requests", -5), id="serve-requests"),
 ])
 def test_invalid_instance_shape_exits_2_with_one_line(argv, message, capsys):
     assert main(argv) == 2
