@@ -69,7 +69,7 @@ def opt_bound_payload(bound) -> dict:
 
     Every E-series bench that reports ``competitive_ratio`` columns also
     records *what it divided by* — the bound's value, the method that
-    produced it (``dp`` / ``sparse-lp`` / ``dense-lp``), and the raw LP
+    produced it (``dp`` / ``sparse-lp``), and the raw LP
     value / rounded upper bound when an LP was involved — so a ratio in
     an artifact is auditable without re-running the solver.
     """

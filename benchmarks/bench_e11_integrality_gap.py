@@ -7,8 +7,10 @@ fractional cover, but any online rounding of it must commit to an
 integrality gap — for the F_2^d parity system the gap is ~d/2 ~ log n.
 
 This drives the source-agnostic rounding with a
-:class:`~repro.algorithms.sources.TrajectorySource` fed by the exact
-offline LP solution — precisely the object Theorem 1.4 reasons about.
+:class:`~repro.algorithms.sources.TrajectorySource` fed by an exact
+offline LP optimum — the sparse LP's solution replayed as a time-indexed
+trajectory (:meth:`~repro.offline.SparseLPResult.trajectory`), precisely
+the object Theorem 1.4 reasons about.
 
 Rows: d; fractional cover |x|_1; integral (greedy) cover; LP value of the
 image; rounded online cost; rounded / LP ratio; committed cover size.
@@ -48,7 +50,7 @@ def parity_gap_system(d: int) -> SetSystem:
 
 
 def run_experiment() -> tuple[Table, list[dict]]:
-    from repro.offline import solve_offline_lp
+    from repro.offline import solve_sparse_lp
 
     table = Table(
         ["d", "frac cover", "greedy cover", "image LP", "rounded (mean)",
@@ -64,11 +66,12 @@ def run_experiment() -> tuple[Table, list[dict]]:
         frac = lp_cover_value(system, elements)
         integral = len(greedy_cover(system, elements))
         red = reduce_to_rw_paging(system, elements, w=6.0, repetitions=3)
-        lp = solve_offline_lp(red.instance, red.sequence)
+        lp = solve_sparse_lp(red.instance, red.sequence)
+        trajectory = lp.trajectory()
 
         costs, covers = [], []
         for seed in range(SEEDS):
-            src = TrajectorySource(lp.u, lazy=True, seq=red.sequence)
+            src = TrajectorySource(trajectory, lazy=True, seq=red.sequence)
             run = simulate(
                 red.instance, red.sequence,
                 RandomizedMultiLevelPolicy(source=src),

@@ -34,9 +34,9 @@ from repro.algorithms import policy_registry
 from repro.analysis import Table, competitive_ratio
 from repro.core.instance import WeightedPagingInstance
 from repro.offline import (
-    fractional_offline_opt,
     lp_divisor,
     offline_opt_multilevel,
+    solve_offline_lp,
     solve_sparse_lp,
     threshold_round,
 )
@@ -115,7 +115,7 @@ def run_experiment() -> tuple[Table, dict]:
     inst = WeightedPagingInstance(6, sample_weights(24, rng=3, high=16.0))
     seq = zipf_stream(24, 800, alpha=0.9, rng=4)
     started = perf_counter()
-    dense_value = fractional_offline_opt(inst, seq)
+    dense_value = solve_offline_lp(inst, seq).value
     dense_s = perf_counter() - started
     started = perf_counter()
     sparse = solve_sparse_lp(inst, seq)

@@ -12,16 +12,13 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from repro.algorithms import (
     FractionalMultiLevelSolver,
     PrimalDualWeightedPaging,
 )
 from repro.analysis import Table, fit_growth
 from repro.core.instance import WeightedPagingInstance
-from repro.offline import fractional_offline_opt
-from repro.sim import simulate
+from repro.offline import sparse_fractional_opt
 from repro.workloads import sample_weights, zipf_stream
 
 from _util import emit, once
@@ -42,7 +39,7 @@ def run_experiment() -> tuple[Table, list[float]]:
         inst = WeightedPagingInstance(k, sample_weights(n, rng=k, high=16.0))
         seq = zipf_stream(n, STREAM_LEN, alpha=0.9, rng=200 + k)
         online = FractionalMultiLevelSolver(inst).solve(seq).total_z_cost
-        lp = fractional_offline_opt(inst, seq)
+        lp = sparse_fractional_opt(inst, seq)
         ratio = online / max(lp, 1e-9)
         ratios.append(ratio)
         # The primal-dual run certifies its own ratio via weak duality —

@@ -14,8 +14,7 @@ import numpy as np
 
 from repro.algorithms import RandomizedMultiLevelPolicy, WaterFillingPolicy
 from repro.analysis import Table
-from repro.core.instance import MultiLevelInstance
-from repro.offline import fractional_offline_opt, lp_divisor
+from repro.offline import lp_divisor, sparse_fractional_opt
 from repro.sim import simulate
 from repro.workloads import geometric_instance, multilevel_stream
 
@@ -36,7 +35,7 @@ def run_experiment() -> tuple[Table, dict[int, float], dict[int, float]]:
     for l in LEVELS:
         inst = geometric_instance(N_PAGES, K, l)
         seq = multilevel_stream(N_PAGES, l, STREAM_LEN, rng=500 + l)
-        bound = fractional_offline_opt(inst, seq) / lp_divisor(inst)
+        bound = sparse_fractional_opt(inst, seq) / lp_divisor(inst)
         wf = simulate(inst, seq, WaterFillingPolicy(), seed=0).cost
         rand = float(np.mean([
             simulate(inst, seq, RandomizedMultiLevelPolicy(), seed=s).cost

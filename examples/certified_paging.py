@@ -20,7 +20,7 @@ import math
 from repro.algorithms import PrimalDualWeightedPaging
 from repro.analysis import Table
 from repro.core.instance import WeightedPagingInstance
-from repro.offline import fractional_offline_opt
+from repro.offline import sparse_fractional_opt
 from repro.workloads import sample_weights, zipf_stream
 
 
@@ -44,7 +44,7 @@ def main() -> None:
     print(table)
 
     final = solver.state()
-    lp = fractional_offline_opt(instance, stream)
+    lp = sparse_fractional_opt(instance, stream)
     print(f"theorem bound 2 ln(1 + k) = {2 * math.log(1 + k):.2f}")
     print(f"true LP optimum (computed offline, never shown to the solver): "
           f"{lp:.1f}")

@@ -45,9 +45,9 @@ def main() -> None:
     from repro.core.requests import WBRequestSequence
     from repro.offline import (
         best_opt_bound,
-        fractional_offline_opt,
         offline_opt_multilevel,
         offline_opt_writeback,
+        sparse_fractional_opt,
     )
     from repro.setcover import (
         extract_cover,
@@ -102,7 +102,7 @@ def main() -> None:
 
     # --- Section 4.2: fractional O(log k) + dual certificate --------------
     frac = FractionalMultiLevelSolver(inst).solve(seq).total_z_cost
-    lp = fractional_offline_opt(inst, seq)
+    lp = sparse_fractional_opt(inst, seq)
     check(
         "Section 4.2 — fractional solver within 4 log k of LP OPT",
         frac <= 4 * math.log(k) * lp + 64.0,

@@ -55,12 +55,15 @@ class FractionalStep:
     copies displaced while serving the request) — charged nothing by the
     LP and excluded from the Section 4.2 potential argument (Lemma 4.3);
     ``y_cost - serve_y_cost`` is the step-2 eviction movement the analysis
-    bounds.
+    bounds.  ``tau`` is the step's total raise, the sum of its event
+    rounds' raises: every tail active through the whole step, on the same
+    level, moved as ``(a + eta) * exp(tau / w) - eta``.
     """
 
     z_cost: float
     y_cost: float
     serve_y_cost: float = 0.0
+    tau: float = 0.0
 
     @property
     def evict_y_cost(self) -> float:
@@ -153,6 +156,7 @@ class FractionalMultiLevelSolver:
         z_cost = 0.0
         y_cost = 0.0
         serve_y_cost = 0.0
+        tau_total = 0.0
 
         # Step 1 — serve: u(p_t, j) = 0 for j >= i_t.  The y-accounting
         # charges the eviction of the lower copies' mass (free in the LP).
@@ -222,6 +226,7 @@ class FractionalMultiLevelSolver:
             else:
                 tau_stop, done = tau_max, False
 
+            tau_total += tau_stop
             a_new = np.minimum(shifted * np.exp(tau_stop / w_act) - eta, barrier)
             delta = a_new - aa
             z_cost += float((delta * self._wsuf[act, iq0]).sum())
@@ -236,7 +241,8 @@ class FractionalMultiLevelSolver:
                 break
 
         return FractionalStep(
-            z_cost=z_cost, y_cost=y_cost, serve_y_cost=serve_y_cost
+            z_cost=z_cost, y_cost=y_cost, serve_y_cost=serve_y_cost,
+            tau=tau_total,
         )
 
     # -- batch driver ----------------------------------------------------------

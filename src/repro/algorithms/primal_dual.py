@@ -34,9 +34,11 @@ returns the scaled (feasible) dual objective; weak duality then gives
 and the classic analysis bounds ``primal <= 2 ln(1 + k) * dual + O(1)``
 — both facts are asserted against the exact LP/DP in the test suite.
 
-The primal trajectory coincides with the Section 4.2 solver at ``l = 1``
-and ``eta = 1/k`` (same ODE ``dx/dY = (x + eta)/w_p``); this module's
-value-add is the dual bookkeeping.
+The primal *is* the Section 4.2 solver at ``l = 1`` and ``eta = 1/k``
+(same ODE ``dx/dY = (x + eta)/w_p``): :class:`PrimalDualWeightedPaging`
+runs :class:`~repro.algorithms.fractional.FractionalMultiLevelSolver` and
+adds only the dual bookkeeping, once per step, from the step's total raise
+``tau`` (:attr:`~repro.algorithms.fractional.FractionalStep.tau`).
 """
 
 from __future__ import annotations
@@ -45,15 +47,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
+from repro.algorithms.fractional import FractionalMultiLevelSolver
 from repro.core.instance import WeightedPagingInstance
 from repro.core.requests import RequestSequence
-from repro.errors import InfeasibleError, InvalidInstanceError
+from repro.errors import InvalidInstanceError
 
 __all__ = ["PrimalDualState", "PrimalDualWeightedPaging"]
-
-_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ class PrimalDualState:
 
 
 class PrimalDualWeightedPaging:
-    """Event-driven online primal-dual solver for weighted paging.
+    """Online primal-dual solver for weighted paging.
 
     On request ``p_t``: reset ``x_{p_t}`` to 0 (new interval; fetching is
     free).  While ``sum_p x_p < n - k``, raise the dual ``y_t``; every
@@ -92,13 +92,14 @@ class PrimalDualWeightedPaging:
             )
         self.instance = instance
         self.eta = 1.0 / instance.cache_size
-        self._w = instance.weights[:, 0]
+        self._cap = instance.weights[:, 0] * math.log(1.0 + instance.cache_size)
+        self._solver = FractionalMultiLevelSolver(instance, eta=self.eta)
         self.reset()
 
     def reset(self) -> None:
         """Restart from the empty cache."""
         n = self.instance.n_pages
-        self._x = np.ones(n, dtype=np.float64)  # evicted fraction
+        self._solver.reset()
         self._Y = np.zeros(n, dtype=np.float64)  # raise in current interval
         self._requested = np.zeros(n, dtype=bool)
         self._primal = 0.0
@@ -110,7 +111,7 @@ class PrimalDualWeightedPaging:
     @property
     def x(self) -> np.ndarray:
         """Current evicted fractions (copy)."""
-        return self._x.copy()
+        return self._solver.u[:, 0]
 
     @property
     def primal_cost(self) -> float:
@@ -139,74 +140,30 @@ class PrimalDualWeightedPaging:
         ``S_t =`` pages requested so far except ``p_t`` — valid because
         ``p_t`` itself must occupy a cache slot, leaving ``k - 1`` for the
         rest.  Never-requested pages are constants (trivially evicted) and
-        appear in neither the row nor the dual constraints.
+        appear in neither the row nor the dual constraints.  The solver's
+        row ``sum_q x_q >= n - k`` is the same row plus those constants.
         """
-        self.instance.check_page(page)
-        k = self.instance.cache_size
-        eta = self.eta
-        x, Y, w = self._x, self._Y, self._w
+        step = self._solver.step(page, 1)
+        self._primal += step.z_cost
         self._n_requests += 1
         self._requested[page] = True
-
-        # Serve: new interval for the requested page, fetch for free.
-        x[page] = 0.0
-        Y[page] = 0.0
-
+        self._Y[page] = 0.0  # a new interval, fetched for free
+        if step.tau <= 0.0:
+            return
         s_mask = self._requested.copy()
         s_mask[page] = False
         s_idx = np.flatnonzero(s_mask)
-        target = float(s_idx.size - k + 1)
-        if target <= 0:
-            return
-        gain = target  # dual coefficient |S_t| - k + 1
-        cap = w * math.log(1.0 + k)
-
-        total = float(x[s_idx].sum())
-        while total < target - _TOL:
-            active = s_mask & (x < 1.0 - _TOL)
-            act = np.flatnonzero(active)
-            if act.size == 0:
-                raise InfeasibleError("no raisable page but constraint unmet")
-            shifted = x[act] + eta
-            w_act = w[act]
-            # Raise until some x hits 1 or the covering row is tight.
-            tau_cap = w_act * np.log((1.0 + eta) / shifted)
-            tau_max = float(tau_cap.min())
-            frozen = total - float(x[act].sum())
-
-            def total_at(tau: float) -> float:
-                return frozen + float(
-                    (shifted * np.exp(tau / w_act)).sum()
-                ) - eta * act.size
-
-            f_max = total_at(tau_max)
-            if total_at(0.0) >= target - _TOL:
-                break
-            if f_max > target:
-                tau = float(
-                    brentq(lambda s: total_at(s) - target, 0.0, tau_max,
-                           xtol=1e-13, rtol=1e-15)
-                )
-                done = True
-            elif f_max >= target - _TOL:
-                tau, done = tau_max, True
-            else:
-                tau, done = tau_max, False
-
-            x_new = np.minimum(shifted * np.exp(tau / w_act) - eta, 1.0)
-            self._primal += float(((x_new - x[act]) * w_act).sum())
-            x[act] = x_new
-            # Every page of S_t accrues y_t against its current interval's
-            # dual constraint — including fully-evicted (capped) pages,
-            # whose excess is absorbed by the cap dual z to stay feasible.
-            Y[s_idx] += tau
-            over = Y[s_idx] - cap[s_idx]
-            burn = np.minimum(np.maximum(over, 0.0), tau)
-            self._raw_dual += gain * tau
-            self._raw_caps += float(burn.sum())
-            total = float(x[s_idx].sum())
-            if done:
-                break
+        # Every page of S_t accrues y_t against its current interval's dual
+        # constraint — including fully-evicted (capped) pages, whose excess
+        # is absorbed by the cap dual z to stay feasible.  z grows by the
+        # step's change in max(Y_p - cap_p, 0), i.e. min(max(Y_p - cap_p, 0),
+        # tau) with Y_p already raised; the per-round raises telescope.
+        tau = step.tau
+        Y = self._Y
+        Y[s_idx] += tau
+        burn = np.minimum(np.maximum(Y[s_idx] - self._cap[s_idx], 0.0), tau)
+        self._raw_dual += (s_idx.size - self.instance.cache_size + 1) * tau
+        self._raw_caps += float(burn.sum())
 
     def solve(self, seq: RequestSequence) -> PrimalDualState:
         """Run over a whole sequence; returns the final summary."""

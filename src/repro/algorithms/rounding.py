@@ -7,32 +7,29 @@ the previous and new fractional states, and fresh randomness — no
 distribution over cache states is maintained, which is the paper's headline
 "distribution-free" property.
 
-**Algorithm 1** (weighted paging, ``l = 1``): scale the evicted fraction
-``x_p`` to ``y_p = min(beta * x_p, 1)`` with ``beta = Theta(log k)``; on
-each request evict every cached page ``p != p_t`` independently with the
-conditional probability ``(y_p(t) - y_p(t-1)) / (1 - y_p(t-1))``; then run
-*type-i resets*: for weight classes ``P_i = {w in (2^(i-1), 2^i]}`` from
-heaviest to lightest, while the cache holds more than
-``ceil(k_{>=i}(t))`` pages of class >= i (where
-``k_{>=i} = sum_{p in P_{>=i}} (1 - x_p)`` is the fractional space used by
-those classes), evict a page of class exactly ``i``.
-
 **Algorithm 2** (multi-level): the cached copy of each page ``p != p_t``
 walks down the level chain — a copy at level ``i`` moves to ``i + 1``
 (eviction past ``l``) with probability
 ``(ubar(p,i,t) - ubar(p,i,t-1)) / (ubar(p,i-1,t) - ubar(p,i,t-1))`` where
 ``ubar = min(beta * u, 1)`` and ``ubar(p,0) = 1``; the probabilities
 exactly simulate the threshold coupling of the paper's "almost product"
-distribution ``D(t)``.  Resets generalize per weight class of *copies*,
-with ``k_{>=i}(t) = sum_p (1 - u(p, j_p(i), t))`` over the per-page prefix
+distribution ``D(t)``.  Then *type-i resets*: for weight classes
+``P_i = {w in (2^(i-1), 2^i]}`` of copies, from heaviest to lightest,
+while the cache holds more than ``ceil(k_{>=i}(t))`` copies of class
+>= i, evict a copy of class exactly ``i``; here
+``k_{>=i}(t) = sum_p (1 - u(p, j_p(i), t))`` over the per-page prefix
 ``j_p(i)`` of copies with weight ``> 2^(i-1)``.
+
+**Algorithm 1** (weighted paging) is Algorithm 2 at ``l = 1``: the chain
+walk is one step, evicting each cached page independently with
+probability ``(y_p(t) - y_p(t-1)) / (1 - y_p(t-1))`` for
+``y_p = min(beta * x_p, 1)``, and ``k_{>=i} = sum_{p in P_{>=i}} (1 - x_p)``.
+:class:`RandomizedWeightedPagingPolicy` is therefore
+:class:`RandomizedMultiLevelPolicy` restricted to single-level instances.
 
 Cost convention: when a copy chains down several levels within one request
 the cache performs a single replacement, so the charge is the eviction of
 the *original* copy — at most what the paper's per-move accounting pays.
-
-With ``l = 1``, Algorithm 2 degenerates exactly to Algorithm 1 — given the
-same random stream both make identical decisions (tested).
 """
 
 from __future__ import annotations
@@ -65,8 +62,13 @@ def _ceil_count(x: float) -> int:
     return int(math.ceil(x - _CEIL_SLACK))
 
 
-class _RoundingBase(Policy):
-    """Shared plumbing: fractional source, quantizer, class tables, extras.
+@register_policy
+class RandomizedMultiLevelPolicy(Policy):
+    """Algorithm 2 composed with the fractional solver (any ``l``).
+
+    The paper's O(log^2 k) randomized algorithm for weighted multi-level
+    paging (and, through the Lemma 2.1 reduction, for writeback-aware
+    caching); Theorem 1.2 / 1.5.
 
     ``source`` defaults to the paper's online fractional solver
     (:class:`~repro.algorithms.sources.SolverSource` with the given
@@ -74,6 +76,8 @@ class _RoundingBase(Policy):
     to round any externally computed fractional solution — the rounding is
     source-agnostic (Section 4.3).
     """
+
+    name = "randomized-multilevel"
 
     #: Reset victim rules: the paper allows an *arbitrary* class-i page;
     #: these are the obvious instantiations (E9 ablates them).
@@ -139,16 +143,23 @@ class _RoundingBase(Policy):
         self._fractional_z = 0.0
         self._fractional_y = 0.0
         # Weight classes of every copy and the largest class present.
-        self._classes = instance.weight_classes()  # (n, l)
-        self._max_class = int(self._classes.max())
+        classes = instance.weight_classes()  # (n, l)
+        self._class_rows = classes.tolist()
+        self._max_class = int(classes.max())
         # j_p(i): number of levels of page p with class >= i (a prefix,
         # since weights are non-increasing across levels).
         self._prefix_len = np.stack(
             [
-                (self._classes >= i).sum(axis=1)
+                (classes >= i).sum(axis=1)
                 for i in range(1, self._max_class + 1)
             ]
         )  # (max_class, n)
+        # Flat (n * l) index of u(p, j_p(i)) for every page with j_p(i) > 0,
+        # one array per class, in page order.
+        l = instance.n_levels
+        self._k_ge_index = [
+            np.flatnonzero(jp) * l + jp[jp > 0] - 1 for jp in self._prefix_len
+        ]
 
     def _snap(self, u: np.ndarray) -> np.ndarray:
         if self.delta == 0:
@@ -174,13 +185,8 @@ class _RoundingBase(Policy):
         class >= i: ``sum_p (1 - u(p, j_p(i)))`` over pages with a
         qualifying prefix.
         """
-        out = np.empty(self._max_class, dtype=np.float64)
-        pages = np.arange(u_new.shape[0])
-        for i in range(1, self._max_class + 1):
-            jp = self._prefix_len[i - 1]
-            has = jp > 0
-            out[i - 1] = (1.0 - u_new[pages[has], jp[has] - 1]).sum()
-        return out
+        flat = u_new.ravel()
+        return np.array([(1.0 - flat[idx]).sum() for idx in self._k_ge_index])
 
     def _fix_overflow(self, page: int) -> None:
         """Safety pass: guarantee a free slot for the incoming page.
@@ -211,91 +217,6 @@ class _RoundingBase(Policy):
             "fractional_y_cost": self._fractional_y,
             "beta": self.beta,
         }
-
-
-@register_policy
-class RandomizedWeightedPagingPolicy(_RoundingBase):
-    """Algorithm 1 composed with the fractional solver (``l = 1`` only).
-
-    The paper's simple O(log^2 k) randomized algorithm for weighted paging:
-    an O(log k) fractional solver rounded online at an O(log k) loss.
-    """
-
-    name = "randomized-weighted"
-
-    def bind(self, instance, cache, rng) -> None:
-        if instance.n_levels != 1:
-            raise InvalidInstanceError(
-                "RandomizedWeightedPagingPolicy requires a single-level "
-                f"instance; got l = {instance.n_levels} "
-                "(use RandomizedMultiLevelPolicy)"
-            )
-        super().bind(instance, cache, rng)
-
-    def serve(self, t: int, page: int, level: int) -> None:
-        cache = self.cache
-        u_prev, u_new = self._advance_fraction(t, page, level)
-        x_prev = u_prev[:, 0]
-        x_new = u_new[:, 0]
-        y_prev = np.minimum(self.beta * x_prev, 1.0)
-        y_new = np.minimum(self.beta * x_new, 1.0)
-
-        # Independent conditional evictions for cached pages other than p_t.
-        for p in list(cache.pages()):
-            if p == page:
-                continue
-            num = y_new[p] - y_prev[p]
-            if num <= _TOL:
-                continue
-            denom = 1.0 - y_prev[p]
-            prob = 1.0 if denom <= _TOL else min(1.0, num / denom)
-            if self.rng.random() < prob:
-                cache.evict(p, reason="local-rule")
-
-        self._resets(page, u_new)
-        self._fix_overflow(page)
-
-        if page not in cache:
-            cache.fetch(page, 1)
-
-    def _resets(self, page: int, u_new: np.ndarray) -> None:
-        """Type-i resets, heaviest class first (Algorithm 1 lines 9-13)."""
-        cache = self.cache
-        x_new = u_new[:, 0]
-        classes = self._classes[:, 0]
-        k_ge = self._k_ge(u_new)
-        # Per-class cached counts, counting the incoming p_t virtually.
-        counts = np.zeros(self._max_class + 2, dtype=np.int64)
-        for p in cache.pages():
-            counts[classes[p]] += 1
-        if page not in cache:
-            counts[classes[page]] += 1
-        cum_ge = 0
-        for i in range(self._max_class, 0, -1):
-            cum_ge += int(counts[i])
-            cap = _ceil_count(float(k_ge[i - 1]))
-            while cum_ge > cap:
-                victims = [
-                    p for p in cache.pages() if p != page and classes[p] == i
-                ]
-                if not victims:
-                    break
-                victim = self._pick_victim(victims, [x_new[p] for p in victims])
-                cache.evict(victim, reason="reset")
-                counts[i] -= 1
-                cum_ge -= 1
-
-
-@register_policy
-class RandomizedMultiLevelPolicy(_RoundingBase):
-    """Algorithm 2 composed with the fractional solver (any ``l``).
-
-    The paper's O(log^2 k) randomized algorithm for weighted multi-level
-    paging (and, through the Lemma 2.1 reduction, for writeback-aware
-    caching); Theorem 1.2 / 1.5.
-    """
-
-    name = "randomized-multilevel"
 
     @staticmethod
     def chain_walk(
@@ -334,10 +255,13 @@ class RandomizedMultiLevelPolicy(_RoundingBase):
         u_prev, u_new = self._advance_fraction(t, page, level)
         ubar_prev = np.minimum(self.beta * u_prev, 1.0)
         ubar_new = np.minimum(self.beta * u_new, 1.0)
+        # A copy whose own ubar did not move stays put and draws nothing
+        # (chain_walk's first test), so only the movers are walked.
+        movers = set(np.flatnonzero(ubar_new - ubar_prev > _TOL).tolist())
 
         # Walk every cached copy (p != p_t) down the level chain.
         for p, i0 in list(cache.items()):
-            if p == page:
+            if p == page or p * l + i0 - 1 not in movers:
                 continue
             i = self.chain_walk(ubar_prev[p], ubar_new[p], i0, self.rng)
             if i > l:
@@ -363,22 +287,22 @@ class RandomizedMultiLevelPolicy(_RoundingBase):
     def _resets(self, page: int, page_level: int, u_new: np.ndarray) -> None:
         """Type-i resets over copy weight classes (Algorithm 2 lines 14-18)."""
         cache = self.cache
-        classes = self._classes
+        classes = self._class_rows
         k_ge = self._k_ge(u_new)
-        counts = np.zeros(self._max_class + 2, dtype=np.int64)
+        counts = [0] * (self._max_class + 2)
         for p, j in cache.items():
-            counts[classes[p, j - 1]] += 1
+            counts[classes[p][j - 1]] += 1
         if page not in cache:
-            counts[classes[page, page_level - 1]] += 1
+            counts[classes[page][page_level - 1]] += 1
         cum_ge = 0
         for i in range(self._max_class, 0, -1):
-            cum_ge += int(counts[i])
+            cum_ge += counts[i]
             cap = _ceil_count(float(k_ge[i - 1]))
             while cum_ge > cap:
                 victims = [
                     (p, j)
                     for p, j in cache.items()
-                    if p != page and classes[p, j - 1] == i
+                    if p != page and classes[p][j - 1] == i
                 ]
                 if not victims:
                     break
@@ -388,3 +312,24 @@ class RandomizedMultiLevelPolicy(_RoundingBase):
                 cache.evict(victim_page, reason="reset")
                 counts[i] -= 1
                 cum_ge -= 1
+
+
+@register_policy
+class RandomizedWeightedPagingPolicy(RandomizedMultiLevelPolicy):
+    """Algorithm 1 composed with the fractional solver (``l = 1`` only).
+
+    The paper's simple O(log^2 k) randomized algorithm for weighted paging:
+    an O(log k) fractional solver rounded online at an O(log k) loss.  It
+    is Algorithm 2 at ``l = 1``; this class only rejects ``l > 1``.
+    """
+
+    name = "randomized-weighted"
+
+    def bind(self, instance, cache, rng) -> None:
+        if instance.n_levels != 1:
+            raise InvalidInstanceError(
+                "RandomizedWeightedPagingPolicy requires a single-level "
+                f"instance; got l = {instance.n_levels} "
+                "(use RandomizedMultiLevelPolicy)"
+            )
+        super().bind(instance, cache, rng)

@@ -289,8 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          "serve/loadgen --record); omitted: generate a "
                          "workload from the flags below")
     _add_workload_args(ob)
-    ob.add_argument("--prefer",
-                    choices=("auto", "dp", "lp", "sparse-lp", "dense-lp"),
+    ob.add_argument("--prefer", choices=("auto", "dp", "sparse-lp"),
                     default="auto",
                     help="bound method (auto: DP when feasible, else "
                          "sparse LP)")
@@ -746,11 +745,22 @@ def _run_traced(args, name, inst, seq) -> int:
     return 0
 
 
+def _read_trace_file(args, read, *paths):
+    """``read(*paths)``; a malformed file is one error line naming it."""
+    try:
+        return read(*paths)
+    except ValueError as exc:
+        args.parser.error(f"cannot read {exc}")
+    except KeyError as exc:
+        args.parser.error(f"cannot read {', '.join(paths)}: missing field {exc}")
+
+
 def _cmd_trace_replay(args) -> int:
     """``trace replay``: re-render a JSONL decision trace."""
     from repro.obs import replay_trace
 
-    print(replay_trace(args.path).render(top=args.top))
+    summary = _read_trace_file(args, replay_trace, args.path)
+    print(summary.render(top=args.top))
     return 0
 
 
@@ -767,7 +777,8 @@ def _cmd_trace_stitch(args) -> int:
     """``trace stitch``: span files -> per-trace causal waterfalls."""
     from repro.obs import read_spans, render_waterfall, stitch_spans
 
-    traces = stitch_spans(read_spans(*args.paths))
+    traces = _read_trace_file(
+        args, lambda *paths: stitch_spans(read_spans(*paths)), *args.paths)
     if args.trace is not None:
         records = traces.get(args.trace)
         if records is None:
@@ -837,6 +848,9 @@ def _cmd_mrc(args) -> int:
                           rng=args.seed)
         name = f"zipf({args.alpha:g})"
     else:
+        if args.loop_size > args.n_pages:
+            args.parser.error(f"--loop-size ({args.loop_size}) must not "
+                              f"exceed --n-pages ({args.n_pages})")
         seq = loop_stream(args.n_pages, args.requests,
                           loop_size=args.loop_size, jitter=0.05,
                           rng=args.seed)
@@ -910,7 +924,6 @@ def _cmd_opt_bound(args) -> int:
     from repro.errors import StateSpaceTooLargeError
     from repro.offline import (
         DEFAULT_THRESHOLDS,
-        fractional_offline_opt,
         lp_divisor,
         offline_opt_multilevel,
         solve_sparse_lp,
@@ -940,19 +953,15 @@ def _cmd_opt_bound(args) -> int:
             if args.prefer == "dp":
                 args.parser.error(f"exact DP infeasible: {exc}")
     lp_value = None
-    lp_method = None
-    solution = None
-    if args.prefer == "dense-lp":
-        lp_value, lp_method = fractional_offline_opt(inst, seq), "dense-lp"
-    elif args.prefer != "dp":
-        solution = solve_sparse_lp(inst, seq)
-        lp_value, lp_method = solution.value, "sparse-lp"
     sweep = None
-    if solution is not None and not args.no_round:
-        sweep = threshold_round(solution, thresholds)
+    if args.prefer != "dp":
+        solution = solve_sparse_lp(inst, seq)
+        lp_value = solution.value
+        if not args.no_round:
+            sweep = threshold_round(solution, thresholds)
 
     lower = dp_value if dp_value is not None else lp_value / divisor
-    lower_method = "dp" if dp_value is not None else lp_method
+    lower_method = "dp" if dp_value is not None else "sparse-lp"
     upper = dp_value if dp_value is not None else (
         sweep.cost if sweep is not None else None)
 
@@ -963,9 +972,9 @@ def _cmd_opt_bound(args) -> int:
     if dp_value is not None:
         table.add_row("exact OPT (DP)", dp_value, "dp")
     if lp_value is not None:
-        table.add_row("LP value", lp_value, lp_method)
+        table.add_row("LP value", lp_value, "sparse-lp")
         table.add_row("LP divisor", divisor, "-")
-        table.add_row("LP lower bound", lp_value / divisor, lp_method)
+        table.add_row("LP lower bound", lp_value / divisor, "sparse-lp")
     if sweep is not None:
         table.add_row("rounded upper bound", sweep.cost,
                       f"threshold {sweep.best.threshold:g}")

@@ -39,7 +39,7 @@ from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.obs.tracer import _mix64
+from repro.obs.tracer import _mix64, read_trace
 
 __all__ = [
     "TraceContext",
@@ -307,11 +307,7 @@ def read_spans(*paths) -> list:
     """Parse span JSONL files into a flat record list (file order kept)."""
     records: list = []
     for path in paths:
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    records.append(json.loads(line))
+        records.extend(read_trace(path))
     return records
 
 

@@ -279,12 +279,24 @@ class DecisionTracer:
 # -- reading / validation ---------------------------------------------------
 
 def read_trace(path):
-    """Yield one event dict per line of a JSONL trace file."""
+    """Yield one event dict per line of a JSONL trace (or span) file.
+
+    A line that is not a JSON object raises :class:`ValueError` naming the
+    file and the line.
+    """
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield json.loads(line)
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(
+                    f"{path} line {lineno}: invalid JSON ({exc.msg})"
+                ) from None
+            if not isinstance(obj, dict):
+                raise ValueError(f"{path} line {lineno}: not a JSON object")
+            yield obj
 
 
 @dataclass(frozen=True)

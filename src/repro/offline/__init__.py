@@ -1,4 +1,5 @@
-"""Offline optima: LP relaxations, exact DP, Belady, bound selection."""
+"""Offline optima: the sparse LP (and its dense reference), exact DP,
+Belady, bound selection."""
 
 from repro.offline.belady import belady_cost, next_use_indices
 from repro.offline.bounds import OptBound, best_opt_bound, lp_divisor
@@ -9,11 +10,7 @@ from repro.offline.dp import (
     offline_opt_writeback,
 )
 from repro.offline.dp import offline_opt_multilevel_trace
-from repro.offline.lp import (
-    OfflineLPResult,
-    fractional_offline_opt,
-    solve_offline_lp,
-)
+from repro.offline.lp import OfflineLPResult, solve_offline_lp
 from repro.offline.scale import (
     DEFAULT_THRESHOLDS,
     OptSandwich,
@@ -38,7 +35,6 @@ __all__ = [
     "offline_opt_multilevel",
     "offline_opt_writeback",
     "OfflineLPResult",
-    "fractional_offline_opt",
     "solve_offline_lp",
     "offline_opt_multilevel_trace",
     "DEFAULT_THRESHOLDS",

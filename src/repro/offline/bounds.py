@@ -1,19 +1,19 @@
 """Choosing the strongest available lower bound on the offline optimum.
 
 Competitive ratios are measured against a *lower bound* on OPT so that the
-reported ratio is an upper bound on the true one.  Three bounds are
+reported ratio is an upper bound on the true one.  Two bounds are
 available, tried in order under ``prefer="auto"``:
 
 * the exact DP (:mod:`repro.offline.dp`) — equals OPT, but only feasible
   for small state spaces;
-* the sparse interval LP (:mod:`repro.offline.scale`) — scales to streams
-  of hundreds of thousands of requests;
-* the dense time-indexed LP (:mod:`repro.offline.lp`) — the reference
-  formulation, kept as a last resort (same optimum, vastly bigger matrix).
+* the sparse interval LP (:mod:`repro.offline.scale`) — the paper's LP,
+  scaling to streams of hundreds of thousands of requests.
 
-Both LPs share a z-accounting that over-charges integral solutions of
-multi-level instances by up to a factor 2 (geometric weights) or ``l``
-(general), so the bound on the eviction-cost OPT is ``LP / divisor``.
+The dense time-indexed LP (:mod:`repro.offline.lp`) has the same optimum
+and is kept only as the reference the sparse LP is tested against.  The
+LP's z-accounting over-charges integral solutions of multi-level
+instances by up to a factor 2 (geometric weights) or ``l`` (general), so
+the bound on the eviction-cost OPT is ``LP / divisor``.
 """
 
 from __future__ import annotations
@@ -24,11 +24,10 @@ from repro.core.instance import MultiLevelInstance
 from repro.core.requests import RequestSequence
 from repro.errors import SolverError, StateSpaceTooLargeError
 from repro.offline.dp import DEFAULT_MAX_STATES, offline_opt_multilevel
-from repro.offline.lp import fractional_offline_opt
 
 __all__ = ["OptBound", "lp_divisor", "best_opt_bound"]
 
-_PREFERENCES = ("auto", "dp", "lp", "sparse-lp", "dense-lp")
+_PREFERENCES = ("auto", "dp", "sparse-lp")
 
 
 @dataclass(frozen=True)
@@ -42,7 +41,7 @@ class OptBound:
     """
 
     value: float
-    method: str  # "dp" (exact), "sparse-lp", or "dense-lp"
+    method: str  # "dp" (exact) or "sparse-lp"
     lp_value: float | None = None
     upper: float | None = None
 
@@ -72,9 +71,8 @@ def best_opt_bound(
     """Best available lower bound on the eviction-cost OPT of ``seq``.
 
     ``prefer`` may be ``"auto"`` (exact DP when the state space fits,
-    else the sparse interval LP, else the dense LP), ``"dp"`` (raise if
-    infeasible), ``"sparse-lp"``, ``"dense-lp"``, or ``"lp"`` (the LP
-    path of ``auto``: sparse first, dense as fallback).
+    else the sparse interval LP), ``"dp"`` (raise if infeasible) or
+    ``"sparse-lp"``.
 
     Only :class:`~repro.errors.StateSpaceTooLargeError` triggers the
     DP -> LP fallback: any other failure (invalid sequence, solver
@@ -99,28 +97,13 @@ def best_opt_bound(
         except StateSpaceTooLargeError:
             if prefer == "dp":
                 raise
-    divisor = lp_divisor(instance)
-    if prefer in ("auto", "lp", "sparse-lp"):
-        try:
-            solution = solve_sparse_lp(instance, seq)
-            upper = (threshold_round(solution).cost if with_upper else None)
-            return OptBound(value=solution.value / divisor, method="sparse-lp",
-                            lp_value=solution.value, upper=upper)
-        except SolverError as exc:
-            if prefer == "sparse-lp":
-                raise SolverError(
-                    f"sparse interval LP failed on instance "
-                    f"{instance.name!r}: {exc}"
-                ) from exc
-            # auto/lp: the dense formulation below is the last resort.
     try:
-        lp = fractional_offline_opt(instance, seq)
+        solution = solve_sparse_lp(instance, seq)
     except SolverError as exc:
         raise SolverError(
-            f"offline LP failed on instance {instance.name!r}: {exc}"
+            f"sparse interval LP failed on instance {instance.name!r}: {exc}"
         ) from exc
-    upper = None
-    if with_upper:
-        upper = threshold_round(solve_sparse_lp(instance, seq)).cost
-    return OptBound(value=lp / divisor, method="dense-lp", lp_value=lp,
-                    upper=upper)
+    divisor = lp_divisor(instance)
+    upper = threshold_round(solution).cost if with_upper else None
+    return OptBound(value=solution.value / divisor, method="sparse-lp",
+                    lp_value=solution.value, upper=upper)

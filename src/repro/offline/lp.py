@@ -1,4 +1,9 @@
-"""Fractional offline optimum via linear programming.
+"""The paper's LP, time-indexed: the reference the sparse LP is pinned to.
+
+:mod:`repro.offline.scale` solves the same LP in interval form, with the
+same optimum, and is the one production solver (bounds, CLI, benches).
+This dense formulation is kept deliberately simple as the oracle the
+tests and E20's mid-size comparison check the sparse LP against.
 
 This is the paper's LP (Section 2) in polynomial size.  The paper writes
 the covering family over *all* subsets ``S`` of pages::
@@ -41,7 +46,7 @@ from repro.core.instance import MultiLevelInstance
 from repro.core.requests import RequestSequence
 from repro.errors import SolverError
 
-__all__ = ["OfflineLPResult", "solve_offline_lp", "fractional_offline_opt"]
+__all__ = ["OfflineLPResult", "solve_offline_lp"]
 
 
 @dataclass(frozen=True)
@@ -149,10 +154,3 @@ def solve_offline_lp(
     u[0] = 1.0
     u[1:] = res.x[: nl * T].reshape(T, n, l)
     return OfflineLPResult(value=float(res.fun), u=u)
-
-
-def fractional_offline_opt(
-    instance: MultiLevelInstance, seq: RequestSequence
-) -> float:
-    """Optimal fractional z-cost of serving ``seq`` offline."""
-    return solve_offline_lp(instance, seq).value

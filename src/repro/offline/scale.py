@@ -87,6 +87,30 @@ class SparseLPResult:
     instance: MultiLevelInstance = field(repr=False)
     seq: RequestSequence = field(repr=False)
 
+    def trajectory(self) -> np.ndarray:
+        """The solution as a dense-LP trajectory ``u`` of shape ``(T+1, n, l)``.
+
+        Replays the stream from ``u[0] = 1``: request ``t`` zeroes the
+        requested page's rows ``i_t - 1 .. l - 1`` (serving it), the state
+        is recorded as ``u[t + 1]``, and those rows then take the values of
+        the segments the request opened, held until their next reset.  The
+        result is feasible for the dense LP (:mod:`repro.offline.lp`) and
+        its z-cost equals ``value``.  Memory is ``O(T n l)``.
+        """
+        n, l = self.instance.n_pages, self.instance.n_levels
+        u = np.empty((len(self.seq) + 1, n, l), dtype=np.float64)
+        state = np.ones((n, l), dtype=np.float64)
+        u[0] = state
+        seg = [[0] * l for _ in range(n)]  # open segment of each row
+        for t, (p, lev) in enumerate(zip(self.seq.pages.tolist(),
+                                         self.seq.levels.tolist())):
+            state[p, lev - 1:] = 0.0
+            u[t + 1] = state
+            for i0 in range(lev - 1, l):
+                seg[p][i0] += 1
+                state[p, i0] = self.x[(p, i0, seg[p][i0])]
+        return u
+
 
 @dataclass(frozen=True)
 class RoundedSchedule:

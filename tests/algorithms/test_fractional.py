@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import FractionalMultiLevelSolver
-from repro.core.instance import MultiLevelInstance, WeightedPagingInstance
+from repro.core.instance import WeightedPagingInstance
 from repro.errors import InfeasibleError
 from repro.workloads import (
     geometric_instance,
@@ -157,6 +157,38 @@ class TestInvariants:
         sol._u[:, :] = 0.0  # corrupt: total mass 0 < n - k
         with pytest.raises(InfeasibleError):
             sol.check_feasible()
+
+
+class TestStepRaise:
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_tau_is_the_closed_form_clock(self, seed):
+        # Every tail active through a step that stays below its barrier
+        # (the next prefix value up) ends at (u0 + eta) e^{tau / w} - eta,
+        # with w the weight of its active level.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 12))
+        k = int(rng.integers(1, n))
+        levels = int(rng.integers(1, 5))
+        inst = random_multilevel_instance(n, k, levels, rng=rng)
+        sol = FractionalMultiLevelSolver(inst)
+        seq = multilevel_stream(n, levels, 120, rng=rng)
+        w, eta = inst.weights, sol.eta
+        for page, level in zip(seq.pages.tolist(), seq.levels.tolist()):
+            u0 = sol.u
+            step = sol.step(page, level)
+            u1 = sol.u
+            assert step.tau >= 0.0
+            for q in range(n):
+                a0 = u0[q, -1]
+                if q == page or a0 >= 1.0 - 1e-10:
+                    continue  # served, or fully evicted: not active
+                ext = np.concatenate([[1.0], u0[q, :-1]])
+                col = max(j for j in range(levels) if ext[j] > a0 + 1e-10)
+                if u1[q, -1] >= ext[col] - 1e-9:
+                    continue  # reached its barrier during the step
+                expected = (a0 + eta) * np.exp(step.tau / w[q, col]) - eta
+                assert u1[q, -1] == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
 
 class TestCompetitiveness:

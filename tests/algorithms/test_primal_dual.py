@@ -14,7 +14,7 @@ from repro.algorithms import (
 from repro.core.instance import MultiLevelInstance, WeightedPagingInstance
 from repro.core.requests import RequestSequence
 from repro.errors import InvalidInstanceError
-from repro.offline import fractional_offline_opt, offline_opt_multilevel
+from repro.offline import offline_opt_multilevel, sparse_fractional_opt
 from repro.workloads import cyclic_nemesis, sample_weights, zipf_stream
 
 
@@ -73,7 +73,7 @@ class TestDualCertificate:
         inst = instance(n=8, k=3, rng=4)
         seq = zipf_stream(8, 150, rng=5)
         state = PrimalDualWeightedPaging(inst).solve(seq)
-        lp = fractional_offline_opt(inst, seq)
+        lp = sparse_fractional_opt(inst, seq)
         assert state.dual_value <= lp + 1e-6
 
     def test_dual_below_integral_opt(self):
@@ -122,6 +122,6 @@ class TestDualCertificate:
         )
         seq = RequestSequence.from_pages(rng.integers(0, n, size=80))
         state = PrimalDualWeightedPaging(inst).solve(seq)
-        lp = fractional_offline_opt(inst, seq)
+        lp = sparse_fractional_opt(inst, seq)
         assert state.dual_value <= lp + 1e-6
         assert state.primal_cost >= lp - 1e-6  # online never beats OPT

@@ -31,9 +31,9 @@ from repro.core.reductions import (
 from repro.core.requests import WBRequestSequence
 from repro.offline import (
     best_opt_bound,
-    fractional_offline_opt,
     offline_opt_multilevel,
     offline_opt_writeback,
+    sparse_fractional_opt,
 )
 from repro.sim import simulate, simulate_writeback
 from repro.workloads import (
@@ -74,7 +74,7 @@ class TestSection42_FractionalOLogK:
         inst = WeightedPagingInstance(k, sample_weights(24, rng=3, high=16.0))
         seq = zipf_stream(24, 500, rng=4)
         online = FractionalMultiLevelSolver(inst).solve(seq).total_z_cost
-        lp = fractional_offline_opt(inst, seq)
+        lp = sparse_fractional_opt(inst, seq)
         assert online <= 4.0 * math.log(k) * lp + 4 * 16.0
 
     def test_potential_drift_holds(self):
@@ -86,7 +86,7 @@ class TestSection42_FractionalOLogK:
         inst = WeightedPagingInstance(3, sample_weights(9, rng=6, high=8.0))
         seq = zipf_stream(9, 200, rng=7)
         state = PrimalDualWeightedPaging(inst).solve(seq)
-        assert state.dual_value <= fractional_offline_opt(inst, seq) + 1e-6
+        assert state.dual_value <= sparse_fractional_opt(inst, seq) + 1e-6
 
 
 class TestTheorem12_RandomizedOLog2K:
@@ -178,7 +178,7 @@ class TestTheorem15_LevelIndependence:
             seq = multilevel_stream(18, l, 400, rng=17)
             from repro.offline import lp_divisor
 
-            bound = fractional_offline_opt(inst, seq) / lp_divisor(inst)
+            bound = sparse_fractional_opt(inst, seq) / lp_divisor(inst)
             cost = simulate(inst, seq, WaterFillingPolicy()).cost
             ratios[l] = cost / max(bound, 1e-9)
         assert ratios[4] <= 3.0 * ratios[1] + 1.0

@@ -11,7 +11,6 @@ from repro.errors import InvalidInstanceError
 from repro.offline import (
     belady_cost,
     best_opt_bound,
-    fractional_offline_opt,
     lp_divisor,
     next_use_indices,
     offline_opt_multilevel,
@@ -29,20 +28,20 @@ class TestOfflineLP:
     def test_zero_when_cache_fits(self):
         inst = WeightedPagingInstance.uniform(4, 3)
         seq = RequestSequence.from_pages([0, 1, 2, 0, 1])
-        assert fractional_offline_opt(inst, seq) == pytest.approx(0.0, abs=1e-8)
+        assert solve_offline_lp(inst, seq).value == pytest.approx(0.0, abs=1e-8)
 
     def test_matches_dp_on_single_level(self):
         # For l = 1 the LP has integral optima on these small instances.
         inst = WeightedPagingInstance(2, [4.0, 2.0, 1.0, 3.0])
         seq = zipf_stream(4, 40, rng=0)
-        lp = fractional_offline_opt(inst, seq)
+        lp = solve_offline_lp(inst, seq).value
         dp = offline_opt_multilevel(inst, seq)
         assert lp == pytest.approx(dp, abs=1e-6)
 
     def test_lower_bounds_dp_z_cost_multilevel(self):
         inst = geometric_instance(5, 2, 2)
         seq = multilevel_stream(5, 2, 40, rng=1)
-        lp = fractional_offline_opt(inst, seq)
+        lp = solve_offline_lp(inst, seq).value
         dp = offline_opt_multilevel(inst, seq)
         # LP z-cost <= 2x eviction OPT for geometric weights.
         assert lp <= 2.0 * dp + 1e-6
@@ -71,7 +70,7 @@ class TestOfflineLP:
         # other page. Weights 3 and 5 -> per cycle cost 3 + 5.
         inst = WeightedPagingInstance(1, [3.0, 5.0])
         seq = RequestSequence.from_pages([0, 1, 0, 1])
-        lp = fractional_offline_opt(inst, seq)
+        lp = solve_offline_lp(inst, seq).value
         # Serving 0,1,0,1 from empty: evict 0 (3), evict 1 (5), evict 0 (3)?
         # Last eviction not needed: fetch 1 after evicting 0. Total = 3+5? No:
         # t0: fetch 0 free. t1: evict 0 (3), fetch 1. t2: evict 1 (5), fetch 0.
@@ -154,15 +153,15 @@ class TestBounds:
     def test_lp_bound_divides_for_multilevel(self):
         inst = geometric_instance(5, 2, 2)
         seq = multilevel_stream(5, 2, 30, rng=1)
-        lp_raw = fractional_offline_opt(inst, seq)
-        bound = best_opt_bound(inst, seq, prefer="lp")
+        lp_raw = solve_offline_lp(inst, seq).value
+        bound = best_opt_bound(inst, seq, prefer="sparse-lp")
         assert bound.value == pytest.approx(lp_raw / 2.0)
 
     def test_bound_below_true_opt(self):
         inst = random_multilevel_instance(5, 2, 2, rng=4)
         seq = multilevel_stream(5, 2, 40, rng=5)
         dp = offline_opt_multilevel(inst, seq)
-        bound = best_opt_bound(inst, seq, prefer="lp")
+        bound = best_opt_bound(inst, seq, prefer="sparse-lp")
         assert bound.value <= dp + 1e-6
 
     def test_bad_preference_rejected(self):

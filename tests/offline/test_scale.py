@@ -10,11 +10,11 @@ from repro.core.requests import RequestSequence
 from repro.errors import InvalidRequestError, SolverError
 from repro.offline import (
     best_opt_bound,
-    fractional_offline_opt,
     lp_divisor,
     offline_opt_multilevel,
     opt_sandwich,
     round_at,
+    solve_offline_lp,
     solve_sparse_lp,
     sparse_fractional_opt,
     threshold_round,
@@ -61,7 +61,7 @@ class TestSparseLP:
         inst = WeightedPagingInstance(2, [4.0, 2.0, 1.0, 3.0])
         seq = zipf_stream(4, 60, rng=0)
         sparse = sparse_fractional_opt(inst, seq)
-        dense = fractional_offline_opt(inst, seq)
+        dense = solve_offline_lp(inst, seq).value
         assert sparse == pytest.approx(dense, abs=1e-5)
 
     def test_size_is_linear_in_stream(self):
@@ -81,7 +81,7 @@ class TestSparseLP:
         inst = WeightedPagingInstance(k, rng.integers(1, 9, size=n).astype(float))
         seq = RequestSequence.from_pages(rng.integers(0, n, size=80))
         sparse = sparse_fractional_opt(inst, seq)
-        dense = fractional_offline_opt(inst, seq)
+        dense = solve_offline_lp(inst, seq).value
         assert sparse == pytest.approx(dense, abs=1e-5)
 
     @given(st.integers(min_value=0, max_value=10_000))
@@ -95,7 +95,7 @@ class TestSparseLP:
                                           rng=int(rng.integers(0, 1 << 30)))
         seq = multilevel_stream(n, levels, 50, rng=int(rng.integers(0, 1 << 30)))
         sparse = sparse_fractional_opt(inst, seq)
-        dense = fractional_offline_opt(inst, seq)
+        dense = solve_offline_lp(inst, seq).value
         assert sparse == pytest.approx(dense, abs=1e-5)
 
     def test_lower_bounds_dp_after_divisor(self):
@@ -112,6 +112,41 @@ class TestSparseLP:
         assert res.x, "expected a non-trivial solution"
         for value in res.x.values():
             assert -1e-7 <= value <= 1 + 1e-7
+
+    def test_trajectory_of_empty_and_trivial_streams(self):
+        inst = WeightedPagingInstance.uniform(4, 2)
+        empty = solve_sparse_lp(inst, RequestSequence.from_pages([]))
+        assert empty.trajectory().shape == (1, 4, 1)
+        assert np.all(empty.trajectory() == 1.0)
+        fits = solve_sparse_lp(WeightedPagingInstance.uniform(4, 3),
+                               RequestSequence.from_pages([0, 1, 2, 0]))
+        u = fits.trajectory()
+        assert u[-1, :3, 0].tolist() == [0.0, 0.0, 0.0]
+        assert u[-1, 3, 0] == 1.0
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=25, deadline=None)
+    def test_property_trajectory_is_dense_feasible_and_optimal(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 8))
+        k = int(rng.integers(1, n))
+        levels = int(rng.integers(1, 5))
+        inst = random_multilevel_instance(n, k, levels,
+                                          rng=int(rng.integers(0, 1 << 30)))
+        seq = multilevel_stream(n, levels, 60,
+                                rng=int(rng.integers(0, 1 << 30)))
+        solution = solve_sparse_lp(inst, seq)
+        u = solution.trajectory()
+        assert u.shape == (len(seq) + 1, n, levels)
+        assert np.all(u[0] == 1.0)
+        assert np.all(u >= -1e-7) and np.all(u <= 1 + 1e-7)
+        assert np.all(u[1:, :, -1].sum(axis=1) >= n - k - 1e-6)  # covering
+        assert np.all(np.diff(u, axis=2) <= 1e-7)  # non-increasing in level
+        for t, req in enumerate(seq, start=1):  # every request served
+            assert np.all(u[t, req.page, req.level - 1:] == 0.0)
+        z_cost = float((np.maximum(np.diff(u, axis=0), 0.0)
+                        * inst.weights).sum())
+        assert z_cost == pytest.approx(solution.value, abs=1e-6)
 
     def test_invalid_sequence_propagates(self):
         # Out-of-range pages must raise loudly, not become an LP answer.
@@ -198,16 +233,18 @@ class TestBoundsRewiring:
         assert bound.lp_value == pytest.approx(
             sparse_fractional_opt(inst, seq), abs=1e-6)
 
-    def test_dense_preference(self):
+    def test_removed_preferences_rejected(self):
+        # The dense LP is a test oracle now, not a bound method.
         inst = WeightedPagingInstance.uniform(6, 2)
         seq = zipf_stream(6, 40, rng=0)
-        bound = best_opt_bound(inst, seq, prefer="dense-lp")
-        assert bound.method == "dense-lp"
+        for prefer in ("lp", "dense-lp"):
+            with pytest.raises(ValueError, match="unknown preference"):
+                best_opt_bound(inst, seq, prefer=prefer)
 
     def test_lp_preference_is_sparse_first(self):
         inst = geometric_instance(5, 2, 2)
         seq = multilevel_stream(5, 2, 30, rng=1)
-        bound = best_opt_bound(inst, seq, prefer="lp")
+        bound = best_opt_bound(inst, seq, prefer="sparse-lp")
         assert bound.method == "sparse-lp"
         assert bound.value == pytest.approx(bound.lp_value / 2.0)
 
@@ -215,8 +252,8 @@ class TestBoundsRewiring:
         inst = geometric_instance(5, 2, 2)
         seq = multilevel_stream(5, 2, 30, rng=2)
         sparse = best_opt_bound(inst, seq, prefer="sparse-lp")
-        dense = best_opt_bound(inst, seq, prefer="dense-lp")
-        assert sparse.value == pytest.approx(dense.value, abs=1e-5)
+        dense = solve_offline_lp(inst, seq).value / lp_divisor(inst)
+        assert sparse.value == pytest.approx(dense, abs=1e-5)
 
     def test_with_upper_returns_sandwich(self):
         inst = WeightedPagingInstance.uniform(6, 2)
@@ -252,14 +289,16 @@ class TestBoundsRewiring:
         with pytest.raises(SolverError, match="exploding-instance"):
             best_opt_bound(inst, seq, prefer="sparse-lp")
 
-    def test_sparse_failure_falls_back_to_dense_under_auto(self, monkeypatch):
+    def test_sparse_failure_propagates_under_auto(self, monkeypatch):
+        # No dense fallback: a sparse-LP breakdown under auto is a real
+        # defect and surfaces as a SolverError naming the instance.
         import repro.offline.scale as scale_mod
 
         def boom(instance, seq, **kwargs):
             raise SolverError("synthetic breakdown")
 
         monkeypatch.setattr(scale_mod, "solve_sparse_lp", boom)
-        inst = WeightedPagingInstance.uniform(30, 5)
+        inst = WeightedPagingInstance(5, np.ones(30), name="exploding-auto")
         seq = zipf_stream(30, 30, rng=0)
-        bound = best_opt_bound(inst, seq, max_states=100, prefer="auto")
-        assert bound.method == "dense-lp"
+        with pytest.raises(SolverError, match="exploding-auto"):
+            best_opt_bound(inst, seq, max_states=100, prefer="auto")

@@ -190,6 +190,9 @@ def test_former_tracebacks_exit_2_with_one_line(argv):
       "0.9", "--ctl-high", "0.5"], "low_water"),
     (["cluster", "proxy", "--backends", "127.0.0.1:1",
       "--backend-metrics", "a=http://x/metrics"], "--federate-port"),
+    # Exited 1 with the loop generator's ValueError traceback.
+    (["mrc", "--workload", "loop", "--loop-size", "100", "--n-pages", "10"],
+     "--loop-size (100) must not exceed --n-pages (10)"),
     # Lists and addresses parse through the parser too.
     (["opt", "bound", "--thresholds", "0.5,x"], "argument --thresholds"),
     (["cluster", "proxy", "--backends", "127.0.0.1:1",
@@ -210,6 +213,17 @@ def test_input_errors_exit_2_with_one_line(argv, message, capsys):
 def test_help_returns_0(capsys):
     assert cli.main(["run", "--help"]) == 0
     assert "--n-pages" in capsys.readouterr().out
+
+
+def test_malformed_trace_file_exits_2_with_one_line(tmp_path, capsys):
+    # Both exited 1 with a JSONDecodeError traceback; the one line names
+    # the file and the offending line.
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("not json\n")
+    for command in (["trace", "replay"], ["trace", "stitch"]):
+        assert cli.main([*command, str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{bad} line 1: invalid JSON" in err, err
 
 
 def test_unreadable_experience_file_exits_2_with_one_line(tmp_path, capsys):
