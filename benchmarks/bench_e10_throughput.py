@@ -12,7 +12,6 @@ single-shot experiment tables.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.algorithms import (

@@ -17,7 +17,7 @@ Asserted shape claims (all enforced on every machine):
 * **Equality + speedup** — on a mid-size instance where both solve, the
   sparse optimum equals the dense time-indexed optimum to 1e-4 and the
   sparse solve is at least ``MIDSIZE_SPEEDUP_FLOOR``x faster (measured
-  ~15x; a same-machine ratio, so no parallelism is assumed).
+  ~21x; a same-machine ratio, so no parallelism is assumed).
 * **Scale** — the sparse LP solves a 100_000-request E10-shaped stream
   (n=400, k=64, Zipf 0.9) outright, where the dense formulation would
   need 80M variables (``DENSE_VAR_BUDGET`` caps what it may even
@@ -28,7 +28,10 @@ Asserted shape claims (all enforced on every machine):
 
 from __future__ import annotations
 
+import platform
 from time import perf_counter
+
+import scipy
 
 from repro.algorithms import policy_registry
 from repro.analysis import Table, competitive_ratio
@@ -49,7 +52,7 @@ from repro.workloads import (
     zipf_stream,
 )
 
-from _util import emit, once
+from _util import emit, once, usable_cores
 
 TOL = 1e-6
 #: The dense LP may only be attempted below this variable count; the
@@ -85,7 +88,10 @@ def run_experiment() -> tuple[Table, dict]:
         title="E20: OPT sandwich — sparse interval LP lower bound vs "
               "threshold-rounded upper bound",
     )
-    extra: dict = {}
+    # The timings below are this machine's: record where they ran.
+    extra: dict = {"usable_cores": usable_cores(),
+                   "python_version": platform.python_version(),
+                   "scipy_version": scipy.__version__}
 
     # -- 1. sandwich gate on DP-feasible instances ------------------------
     sandwich_ok = 0

@@ -11,8 +11,6 @@ cost ratio.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.algorithms import (
     RandomizedMultiLevelPolicy,
     RWAdapterPolicy,

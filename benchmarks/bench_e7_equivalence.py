@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms import LRUPolicy, RWAdapterPolicy, WaterFillingPolicy
+from repro.algorithms import RWAdapterPolicy, WaterFillingPolicy
 from repro.analysis import Table
 from repro.core.instance import WritebackInstance
 from repro.core.reductions import (

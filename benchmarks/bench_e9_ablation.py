@@ -16,8 +16,6 @@ Rows: knob, value, integral cost (mean over seeds), fractional z-cost.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.algorithms import RandomizedWeightedPagingPolicy, default_beta

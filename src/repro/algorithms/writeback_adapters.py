@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-import numpy as np
-
 from repro.algorithms.base import Policy, WritebackPolicy, register_policy
 from repro.core.cache import MultiLevelCache
 from repro.core.ledger import CostLedger

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.instance import RWPagingInstance
 from repro.core.ledger import EvictionRecord
 from repro.core.requests import RequestSequence

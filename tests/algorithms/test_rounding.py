@@ -12,7 +12,7 @@ from repro.algorithms import (
 )
 from repro.algorithms.rounding import _ceil_count
 from repro.core.cache import MultiLevelCache
-from repro.core.instance import MultiLevelInstance, WeightedPagingInstance
+from repro.core.instance import WeightedPagingInstance
 from repro.core.ledger import CostLedger
 from repro.errors import InvalidInstanceError
 from repro.sim import simulate

@@ -1,6 +1,5 @@
 """Tests for writeback policies (native and via the Lemma 2.1 adapter)."""
 
-import numpy as np
 import pytest
 
 from repro.algorithms import (

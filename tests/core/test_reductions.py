@@ -1,6 +1,5 @@
 """Tests for the Lemma 2.1 writeback <-> RW-paging reduction."""
 
-import numpy as np
 import pytest
 
 from repro.core.instance import RWPagingInstance, WritebackInstance

@@ -9,8 +9,6 @@ coverage for free.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.algorithms import policy_registry
 from repro.algorithms.base import Policy, WritebackPolicy

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.instance import MultiLevelInstance, WeightedPagingInstance
+from repro.core.instance import WeightedPagingInstance
 from repro.core.requests import RequestSequence
 from repro.offline.dp import (
     offline_opt_multilevel,

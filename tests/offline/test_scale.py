@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.instance import WeightedPagingInstance
 from repro.core.requests import RequestSequence
 from repro.errors import InvalidRequestError, SolverError
 from repro.offline import (
+    DEFAULT_THRESHOLDS,
     best_opt_bound,
     lp_divisor,
     offline_opt_multilevel,
@@ -201,6 +202,115 @@ class TestThresholdRounding:
         seq = RequestSequence.from_pages([0, 1, 2, 0, 1])
         result = threshold_round(solve_sparse_lp(inst, seq))
         assert result.cost == 0.0
+
+
+def _scan_round_at(solution, threshold):
+    """Oracle: the per-threshold scan ``round_at`` replaces.
+
+    On a miss with a full cache it builds the pool of cached pages whose
+    open deep-segment x clears ``threshold`` (all cached pages when none
+    does) and evicts the pool's maximum under ``(x, next use, page)``,
+    scanning the cache for every eviction.
+    """
+    inst, seq = solution.instance, solution.seq
+    k, deep, w, x = (inst.cache_size, inst.n_levels - 1, inst.weights,
+                     solution.x)
+    pages, req_levels = seq.pages.tolist(), seq.levels.tolist()
+    T = len(pages)
+    occurrences = {}
+    for t, p in enumerate(pages):
+        occurrences.setdefault(p, []).append(t)
+
+    def next_use(q, now):
+        later = [s for s in occurrences[q] if s > now]
+        return later[0] if later else T + 1
+
+    cache, seg_deep = {}, {}
+    cost, n_evictions = 0.0, 0
+    for t in range(T):
+        p, lev = pages[t], req_levels[t]
+        held = cache.get(p)
+        if held is None or held > lev:
+            if held is not None:
+                cost += float(w[p, held - 1])
+                n_evictions += 1
+            elif len(cache) >= k:
+                def score(q):
+                    return x.get((q, deep, seg_deep[q]), 0.0)
+
+                pool = [q for q in cache if score(q) >= threshold] or list(cache)
+                victim = max(pool, key=lambda q: (score(q), next_use(q, t), q))
+                cost += float(w[victim, cache[victim] - 1])
+                n_evictions += 1
+                del cache[victim]
+            cache[p] = lev
+        seg_deep[p] = seg_deep.get(p, 0) + 1
+    return cost, n_evictions
+
+
+def _e20_dp_cases():
+    """E20's eight DP-feasible sandwich cases (l = 1, 2, 3)."""
+    cases = [(WeightedPagingInstance(2, [4.0, 2.0, 1.0, 3.0, 5.0, 2.0]),
+              zipf_stream(6, 60, rng=seed)) for seed in range(3)]
+    cases += [(geometric_instance(5, 2, 2), multilevel_stream(5, 2, 40, rng=seed))
+              for seed in range(3)]
+    cases += [(random_multilevel_instance(5, 2, 3, rng=seed),
+               multilevel_stream(5, 3, 40, rng=seed + 10)) for seed in range(2)]
+    return cases
+
+
+@st.composite
+def _rounding_cases(draw):
+    n = draw(st.integers(2, 12))
+    k = draw(st.integers(1, n - 1))
+    levels = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**30))
+    if draw(st.booleans()):  # uniform weights: LP values and keys tie
+        inst = random_multilevel_instance(n, k, levels, rng=seed, low=1.0,
+                                          high=1.0,
+                                          ratio=draw(st.sampled_from([1.0, 2.0])))
+    else:
+        inst = random_multilevel_instance(n, k, levels, rng=seed)
+    seq = multilevel_stream(n, levels, draw(st.integers(0, 150)),
+                            alpha=draw(st.sampled_from([0.0, 0.8, 1.2])),
+                            rng=seed + 1)
+    return inst, seq
+
+
+def _tie_cases():
+    """Two dead pages tie on (x, next use): the page id picks the victim,
+    and the cost depends on which one it picks."""
+    return [(random_multilevel_instance(7, 5, 2, rng=15),
+             multilevel_stream(7, 2, 32, alpha=0.0, rng=16)),
+            (random_multilevel_instance(4, 3, 2, rng=314),
+             multilevel_stream(4, 2, 28, alpha=0.0, rng=315))]
+
+
+def _pinned_examples(test):
+    for case in _e20_dp_cases() + _tie_cases():
+        test = example(case=case, drawn=0.5)(test)
+    return test
+
+
+class TestReplayEqualsScan:
+    """One heap-ordered replay == the per-threshold scan, at every threshold."""
+
+    @_pinned_examples
+    @given(case=_rounding_cases(),
+           drawn=st.floats(0.0, 1.0, exclude_min=True, allow_nan=False))
+    @settings(max_examples=150, deadline=None)
+    def test_round_at_and_sweep_equal_scan(self, case, drawn):
+        solution = solve_sparse_lp(*case)
+        thresholds = DEFAULT_THRESHOLDS + (drawn,)
+        want = {th: _scan_round_at(solution, th) for th in thresholds}
+        for th in thresholds:
+            got = round_at(solution, th)
+            assert (got.threshold, got.cost, got.n_evictions) == (th, *want[th])
+        sweep = threshold_round(solution, thresholds)
+        swept = [(s.threshold, s.cost, s.n_evictions) for s in sweep.schedules]
+        assert swept == [(th, *want[th]) for th in thresholds]
+        cheapest = min(thresholds, key=lambda th: want[th][0])
+        assert (sweep.best.threshold, sweep.cost) == (cheapest, want[cheapest][0])
 
 
 class TestOptSandwich:

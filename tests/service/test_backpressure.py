@@ -3,7 +3,6 @@
 import threading
 
 import numpy as np
-import pytest
 
 from repro.algorithms import LRUPolicy
 from repro.core.instance import WeightedPagingInstance

@@ -1,6 +1,5 @@
 """Tests for the loop and mixture streams."""
 
-import numpy as np
 import pytest
 
 from repro.algorithms import LRUPolicy

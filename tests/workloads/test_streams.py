@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.requests import RequestSequence, WBRequestSequence
+from repro.core.requests import WBRequestSequence
 from repro.workloads import (
     cyclic_nemesis,
     geometric_instance,
