@@ -184,6 +184,49 @@ def update_summary(name: str, payload: dict) -> None:
     )
 
 
+def paired_gate(run_a, run_b, *, metric: str, floor: float,
+                pairs: int = 5) -> dict:
+    """Gate ``B / A`` on ``metric`` over interleaved pairs of runs.
+
+    ``run_a`` and ``run_b`` each return one run's dict.  Pair ``i`` runs A
+    then B when ``i`` is even and B then A when odd (ABBA order), so a
+    drift in machine speed during the bench loads both sides alike.  The
+    gate reads the median of the per-pair ratios against ``floor``; the
+    verdict is ``pass`` when the whole interquartile range clears the
+    floor, ``below_floor`` when the whole IQR sits under it, and
+    ``unresolved`` when the IQR straddles it — too noisy to tell, which
+    a gate must treat as a failure.  The returned dict carries every
+    ratio and run, the quartiles and ``usable_cores``.
+    """
+    if pairs < 5:
+        raise ValueError(f"a paired gate needs >= 5 pairs, got {pairs}")
+    runs_a: list[dict] = []
+    runs_b: list[dict] = []
+    for i in range(pairs):
+        if i % 2 == 0:
+            runs_a.append(run_a())
+            runs_b.append(run_b())
+        else:
+            runs_b.append(run_b())
+            runs_a.append(run_a())
+    ratios = [b[metric] / a[metric] for a, b in zip(runs_a, runs_b)]
+    ordered = sorted(ratios)
+
+    def quantile(q: float) -> float:
+        pos = q * (len(ordered) - 1)
+        lo = int(pos)
+        hi = min(lo + 1, len(ordered) - 1)
+        return ordered[lo] + (ordered[hi] - ordered[lo]) * (pos - lo)
+
+    q1, median, q3 = quantile(0.25), quantile(0.5), quantile(0.75)
+    verdict = ("pass" if q1 >= floor else
+               "below_floor" if q3 < floor else "unresolved")
+    return {"metric": metric, "floor": floor, "pairs": pairs,
+            "ratios": ratios, "median": median, "q1": q1, "q3": q3,
+            "verdict": verdict, "usable_cores": usable_cores(),
+            "runs_a": runs_a, "runs_b": runs_b}
+
+
 def once(benchmark, fn):
     """Run ``fn`` exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(fn, rounds=1, iterations=1)

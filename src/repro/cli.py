@@ -459,7 +459,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="total cluster shard count (default: ask the "
                              "first backend for its shard count)")
     cproxy.add_argument("--window", type=_SIZE, default=16, metavar="N",
-                        help="pipelined submits per backend channel")
+                        help="pipelined submits per backend link")
     cproxy.add_argument("--retries", type=_NONNEG_INT, default=8, metavar="N",
                         help="proxy-side retries of Overloaded backend parts")
     cproxy.add_argument("--retry-backoff", type=_NONNEG, default=0.002,

@@ -5,10 +5,11 @@ cluster:
 
 * :class:`ClusterMap` (:mod:`repro.cluster.map`) — the epoch-numbered
   shard -> backend assignment both sides agree on;
-* :class:`ClusterProxy` (:mod:`repro.cluster.proxy`) — a frame-protocol
-  front door that consistent-hashes pages to cluster shards, pipelines
-  per-backend parts, merges acks, aggregates snapshots, and retries
-  ``overloaded`` answers;
+* :class:`ClusterProxy` (:mod:`repro.cluster.proxy`) — the single-node
+  :class:`~repro.net.NetServer` front door over a :class:`RemoteService`
+  that consistent-hashes pages to cluster shards, pipelines per-backend
+  parts, merges acks, aggregates snapshots, and retries ``overloaded``
+  answers;
 * :func:`migrate_shard` (:mod:`repro.cluster.migrate`) — live shard
   migration over the :class:`~repro.net.Migrate` /
   :class:`~repro.net.Install` wire messages: quiesce, checkpoint, ship,
@@ -23,11 +24,12 @@ operational entry point.
 
 from repro.cluster.map import ClusterMap
 from repro.cluster.migrate import MIGRATION_MAX_FRAME_BYTES, migrate_shard
-from repro.cluster.proxy import ClusterProxy, RoutingTable
+from repro.cluster.proxy import ClusterProxy, RemoteService, RoutingTable
 
 __all__ = [
     "ClusterMap",
     "ClusterProxy",
+    "RemoteService",
     "RoutingTable",
     "migrate_shard",
     "MIGRATION_MAX_FRAME_BYTES",

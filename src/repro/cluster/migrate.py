@@ -2,7 +2,7 @@
 
 The sequence (coordinated from the proxy, executed over the wire)::
 
-    hold(shard)                       # new submits park in admit()
+    hold(shard)                       # new submits park at the proxy
       wait_shard_idle(shard)          # admitted submits finish on the owner
         source: Migrate(shard)        #   backend quiesces + checkpoints
         target: Install(shard, ...)   #   backend restores the payload
@@ -13,7 +13,7 @@ Why no ticket is dropped and the ledger stays exact:
 
 * The hold + idle-wait pair guarantees *quiescence*: every batch the old
   owner accepted for the shard is fully applied before capture, and no
-  new batch can reach it (``admit`` re-checks holds under the same lock
+  new batch can reach it (``admit`` checks holds under the same lock
   that increments the in-flight counts — see
   :class:`~repro.cluster.proxy.RoutingTable`).
 * The checkpoint is the same pickled policy->cache->ledger object graph

@@ -1,39 +1,43 @@
 """ClusterProxy: one wire-protocol front door over N ``repro serve`` backends.
 
-The proxy speaks the exact :mod:`repro.net` frame protocol on its front
-side — :func:`~repro.net.run_network_load`, :class:`~repro.net.PagingClient`
-and the CLI all work against it unchanged — and consistent-hashes each
-submit's pages across the backends named by its :class:`ClusterMap`:
+The proxy is a :class:`~repro.net.NetServer` — the same asyncio front end,
+admission window and request deadline a single node uses — whose service
+is a :class:`RemoteService` instead of a local
+:class:`~repro.service.server.PagingService`:
 
 * pages hash to **cluster shards** with the same splitmix64
   :class:`~repro.service.router.ShardRouter` every backend uses
   internally, so a page lands on the same shard engine no matter which
   backend currently owns that shard;
-* each front submit is split into per-backend parts (arrival order
-  preserved within each part), pipelined to the backends over dedicated
-  :class:`~repro.net.PagingClient` channels, and the part acks are merged
-  into exactly one front :class:`~repro.net.frame.SubmitAck`;
-* ``overloaded`` part answers are retried against the (possibly new)
-  owner with capped backoff; a dead backend connection is re-dialed via
-  :meth:`~repro.net.PagingClient.reconnect` and its in-flight parts
-  resubmitted, so a backend restart costs latency, not tickets.
+* each submit is admitted through the :class:`RoutingTable`, split into
+  one part per owning backend (arrival order preserved within each part)
+  and pipelined over one shared connection per backend (a :class:`_Link`),
+  on the server's own event loop;
+* a submit touching a shard held by a migration *parks* — without
+  blocking the loop — until the shard is released or ``hold_timeout``
+  passes;
+* ``overloaded`` part answers are retried with capped backoff, and a
+  lost backend connection is re-dialed and its in-flight parts resent
+  (at-least-once: a part applied just before the loss is applied again).
 
-Concurrency model (all plain threads, mirroring the sync client): one
-accept thread, one reader thread per front connection, and per
-(connection, backend) one *channel* thread owning that backend's client —
-clients are single-threaded by contract, so the channel both submits and
-collects.  Routing state lives in a :class:`RoutingTable` shared by all
-connections; its per-shard hold gates + in-flight counts give migration
-its no-ticket-dropped guarantee (see :mod:`repro.cluster.migrate`).
+The front ack is ``ok`` only when every part acked ``ok``; ``overloaded``
+only when nothing was applied (every part refused ``overloaded``, or the
+hold timed out); otherwise ``failed``, with each part's status in the
+detail — a partly applied batch must never look retryable.
+
+Threads: the NetServer loop thread plus its 2-thread executor, however
+many clients connect.  Snapshot fan-out, ``Drain`` and ``MoveShard`` make
+blocking backend calls, so they run on the executor; the loop stays free
+to process the acks a migration's idle-wait is waiting for.
 """
 
 from __future__ import annotations
 
+import asyncio
 import contextlib
-import queue as _queue
-import socket
 import threading
-from time import monotonic, sleep
+from collections import deque
+from time import monotonic
 
 import numpy as np
 
@@ -45,96 +49,81 @@ from repro.errors import (
     ServiceConfigError,
     ServiceStateError,
 )
-from repro.net.client import PagingClient, RemoteError
+from repro.net.admission import AdmissionPolicy
+from repro.net.client import PagingClient, RemoteError, parse_address
 from repro.net.frame import (
     DEFAULT_MAX_FRAME_BYTES,
     ClusterStatus,
     ClusterStatusReply,
-    Drain,
-    DrainReply,
     Error,
     FrameDecoder,
+    Install,
+    Migrate,
     MoveShard,
     MoveShardReply,
-    Ping,
-    Pong,
     Snapshot,
     SnapshotReply,
-    SubmitAck,
     SubmitBatch,
     encode,
 )
+from repro.net.server import NetServer
 from repro.obs.registry import null_registry
-from repro.obs.rtrace import SpanExporter, TraceContext, flight_recorder
+from repro.obs.rtrace import SpanExporter, flight_recorder
+from repro.service.ingest import BatchTicket
 from repro.service.router import ShardRouter
 
-__all__ = ["ClusterProxy", "RoutingTable"]
+__all__ = ["ClusterProxy", "RemoteService", "RoutingTable"]
 
 #: Backoff ceiling for per-part overload retries (the client's policy).
 _BACKOFF_CAP_S = 0.05
-#: How long a channel poll blocks before re-checking its work queue.
-_POLL_S = 0.02
-
-#: Severity order for merging part statuses into one front ack: the
-#: merged status is the worst part status ("ok" only when every part ok).
-_STATUS_RANK = {"ok": 0, "overloaded": 1, "shed": 2, "deadline": 3,
-                "failed": 4}
+#: Pause between dials of an unreachable backend.
+_REDIAL_S = 0.05
 
 
 class RoutingTable:
     """Shared, lockable routing state: the live map + migration gates.
 
     Admission protocol: a submit calls :meth:`admit` with the distinct
-    shards it touches, which blocks while any of them is *held* by a
-    migration and otherwise atomically (a) re-checks the holds, (b)
-    increments the shards' in-flight counts and (c) returns the map to
-    route by.  The migrator's counterpart — :meth:`hold` then
-    :meth:`wait_shard_idle` — therefore observes a shard with zero
-    in-flight submits only when no admitted submit can still reach the
-    old owner, which is exactly the no-lost-update condition.
+    shards it touches.  Unless one of them is *held* by a migration, admit
+    atomically increments the shards' in-flight counts and returns the map
+    to route by; it never waits.  The migrator's counterpart —
+    :meth:`hold` then :meth:`wait_shard_idle` — therefore observes a shard
+    with zero in-flight submits only when no admitted submit can still
+    reach the old owner, which is exactly the no-lost-update condition.
     """
 
     def __init__(self, cluster_map: ClusterMap) -> None:
         self._map = cluster_map
-        self._lock = threading.Lock()
-        self._cond = threading.Condition(self._lock)
-        #: set() = open for traffic; clear() = held by a migration.
-        self._holds = [threading.Event() for _ in range(cluster_map.n_shards)]
-        for event in self._holds:
-            event.set()
+        self._cond = threading.Condition()
+        self._held = [False] * cluster_map.n_shards
         self._inflight = [0] * cluster_map.n_shards
         #: Serializes migrations (one shard moves at a time).
         self.migration_lock = threading.Lock()
+        #: Called with no arguments, on the releasing thread, after
+        #: :meth:`release` reopens a shard (the proxy wakes parked submits).
+        self.on_release = None
 
     @property
     def map(self) -> ClusterMap:
         """The current cluster map (immutable; safe to use lock-free)."""
-        with self._lock:
+        with self._cond:
             return self._map
 
     # -- submit side -------------------------------------------------------
-    def admit(self, shards, timeout: float | None) -> ClusterMap | None:
-        """Gate one submit touching ``shards``; None when holds timed out.
+    def admit(self, shards) -> ClusterMap | None:
+        """Admit one submit touching ``shards``; None while any is held.
 
         On success the shards' in-flight counts are incremented and the
         map that routing must use is returned — reading the map *inside*
         the same critical section as the increment is what makes the
         flip in :meth:`reassign` atomic from the submit's point of view.
         """
-        deadline = None if timeout is None else monotonic() + timeout
-        while True:
+        with self._cond:
+            if any(self._held[s] for s in shards):
+                return None
             for s in shards:
-                remaining = (None if deadline is None
-                             else max(0.0, deadline - monotonic()))
-                if not self._holds[s].wait(remaining):
-                    return None
-            with self._cond:
-                if all(self._holds[s].is_set() for s in shards):
-                    for s in shards:
-                        self._inflight[s] += 1
-                    return self._map
-            # A migration grabbed a shard between the wait and the lock;
-            # go around and wait for it to finish.
+                self._inflight[s] += 1
+            return self._map
 
     def finish(self, shards) -> None:
         """Release one admitted submit's in-flight slots."""
@@ -151,14 +140,16 @@ class RoutingTable:
 
     # -- migration side ----------------------------------------------------
     def hold(self, shard: int) -> None:
-        """Park new submits touching ``shard`` (they block in admit)."""
+        """Stop admitting submits touching ``shard`` (they park)."""
         with self._cond:
-            self._holds[shard].clear()
+            self._held[shard] = True
 
     def release(self, shard: int) -> None:
         """Reopen ``shard`` for traffic."""
         with self._cond:
-            self._holds[shard].set()
+            self._held[shard] = False
+        if self.on_release is not None:
+            self.on_release()
 
     def wait_shard_idle(self, shard: int, timeout: float | None) -> bool:
         """Block until every admitted submit touching ``shard`` finished."""
@@ -173,193 +164,407 @@ class RoutingTable:
             return self._map
 
 
-class _Work:
-    """One per-backend part of one front submit."""
+class _Refused(RuntimeError):
+    """A front submit that did not end ``ok``: its ack status and detail."""
 
-    __slots__ = ("pending", "pages", "levels", "attempts", "trace")
+    def __init__(self, status: str, detail: str) -> None:
+        super().__init__(detail)
+        self.status = status
 
-    def __init__(self, pending: "_FrontPending", pages: tuple, levels: tuple,
-                 trace: TraceContext | None = None) -> None:
-        self.pending = pending
+
+class _Submit:
+    """One front submit: parked until admitted, then one part per backend."""
+
+    __slots__ = ("ticket", "pages", "levels", "owners", "shards", "trace",
+                 "timer", "n_parts", "outcomes")
+
+    def __init__(self, ticket: BatchTicket, pages, levels, owners,
+                 shards: list[int], trace) -> None:
+        self.ticket = ticket
         self.pages = pages
         self.levels = levels
-        self.attempts = 0
-        #: Trace context forwarded to the owning backend (None = untraced).
-        self.trace = trace
-
-
-class _FrontPending:
-    """Merges per-backend part acks into one front SubmitAck."""
-
-    __slots__ = ("conn", "id", "n_requests", "shards", "table",
-                 "_remaining", "_status", "_shard", "_detail", "_lock")
-
-    def __init__(self, conn: "_FrontConn", request_id: int, n_requests: int,
-                 n_parts: int, shards, table: RoutingTable) -> None:
-        self.conn = conn
-        self.id = request_id
-        self.n_requests = n_requests
+        self.owners = owners
         self.shards = shards
-        self.table = table
-        self._remaining = n_parts
-        self._status = "ok"
-        self._shard = -1
-        self._detail = ""
-        self._lock = threading.Lock()
-
-    def part_done(self, status: str, shard: int = -1, detail: str = "") -> None:
-        """Fold one part's terminal status; the last part sends the ack."""
-        with self._lock:
-            if _STATUS_RANK.get(status, 5) > _STATUS_RANK.get(self._status, 0):
-                self._status = status
-                self._shard = shard
-                self._detail = detail
-            self._remaining -= 1
-            fire = self._remaining == 0
-        if fire:
-            # Release the routing slots *before* the ack write: a client
-            # that reacts instantly (migrate-on-ack tests do) must see
-            # the table already idle.
-            self.table.finish(self.shards)
-            self.conn.send(SubmitAck(
-                self.id, self._status, self.n_requests,
-                shard=self._shard, detail=self._detail))
+        self.trace = trace
+        #: The hold-timeout timer while parked.
+        self.timer: asyncio.TimerHandle | None = None
+        self.n_parts = 0
+        #: ``(backend, status, detail)`` per resolved part.
+        self.outcomes: list[tuple[str, str, str]] = []
 
 
-class _FrontConn:
-    """One accepted front socket plus its write lock."""
+class _Part:
+    """One backend's share of a submit, as sent (and resent) on its link."""
 
-    __slots__ = ("sock", "open", "_wlock")
+    __slots__ = ("submit", "pages", "levels", "trace", "attempts")
 
-    def __init__(self, sock: socket.socket) -> None:
-        self.sock = sock
-        self.open = True
-        self._wlock = threading.Lock()
-
-    def send(self, msg) -> None:
-        data = encode(msg, max_frame_bytes=2**31 - 1)
-        with self._wlock:
-            if not self.open:
-                return
-            try:
-                self.sock.sendall(data)
-            except OSError:
-                self.open = False
+    def __init__(self, submit: _Submit, pages: list, levels, trace) -> None:
+        self.submit = submit
+        self.pages = pages
+        self.levels = levels
+        self.trace = trace
+        self.attempts = 0
 
 
-class _BackendChannel:
-    """One connection-private pipeline to one backend.
+class _Link(asyncio.Protocol):
+    """One pipelined connection to one backend, shared by every submit.
 
-    Owns the only thread that ever touches its :class:`PagingClient`.
-    The loop drains its work queue up to ``window`` submits in flight,
-    reaps acks as they arrive, retries ``overloaded`` parts with capped
-    backoff, and on a transport error re-dials and resubmits everything
-    outstanding — parts are only ever resolved by a terminal ack.
+    At most ``window`` parts are in flight; the rest wait in FIFO order.
+    When the connection is lost, the in-flight parts go back to the head
+    of the queue and the backend is re-dialed every ``_REDIAL_S`` until it
+    answers, so a backend restart costs latency, not tickets.
     """
 
-    def __init__(self, address: str, *, window: int, retries: int,
-                 retry_backoff: float, timeout: float, on_forward) -> None:
+    def __init__(self, service: "RemoteService", address: str) -> None:
+        self.service = service
         self.address = address
+        self.host, self.port = parse_address(address)
+        self.transport: asyncio.Transport | None = None
+        self.dialer: asyncio.Task | None = None
+        self.closed = False
+        self.decoder = FrameDecoder()
+        self.next_id = 1
+        self.inflight: dict[int, _Part] = {}
+        self.waiting: deque[_Part] = deque()
+
+    def send(self, part: _Part) -> None:
+        self.waiting.append(part)
+        self._pump()
+
+    def _resend(self, part: _Part) -> None:
+        self.waiting.appendleft(part)
+        self._pump()
+
+    def _pump(self) -> None:
+        if self.transport is None:
+            if self.dialer is None and not self.closed:
+                self.dialer = self.service.loop.create_task(self._dial())
+            return
+        svc = self.service
+        while self.waiting and len(self.inflight) < svc.window:
+            part = self.waiting.popleft()
+            rid = self.next_id
+            self.next_id += 1
+            self.inflight[rid] = part
+            self.transport.write(encode(
+                SubmitBatch(rid, part.pages, part.levels, trace=part.trace),
+                max_frame_bytes=svc.max_frame_bytes))
+            svc._m_forwards.labels(self.address).inc()
+
+    async def _dial(self) -> None:
+        loop = self.service.loop
+        while not self.closed:
+            try:
+                await asyncio.wait_for(loop.create_connection(
+                    lambda: self, self.host, self.port), self.service.timeout)
+                break
+            except (OSError, asyncio.TimeoutError):
+                await asyncio.sleep(_REDIAL_S)
+        self.dialer = None
+
+    def close(self) -> None:
+        self.closed = True
+        if self.transport is not None:
+            self.transport.abort()
+        if self.dialer is not None:
+            self.dialer.cancel()
+
+    # -- asyncio.Protocol ----------------------------------------------------
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self._pump()
+
+    def connection_lost(self, exc) -> None:
+        self.transport = None
+        self.decoder = FrameDecoder()
+        self.waiting.extendleft(reversed(self.inflight.values()))
+        self.inflight.clear()
+        if self.waiting:
+            self._pump()
+
+    def data_received(self, data: bytes) -> None:
+        svc = self.service
+        for event in self.decoder.feed(data):
+            part = self.inflight.pop(getattr(event, "id", 0), None)
+            if part is None:
+                # Undecodable bytes or a connection-scoped error (id 0,
+                # e.g. too_many_connections): drop the link and resend.
+                if isinstance(event, (FrameError, Error)):
+                    self.transport.abort()
+                    return
+                continue
+            if isinstance(event, Error):
+                svc._part_done(self.address, part, "failed",
+                              f"[{event.code}] {event.message}")
+            elif event.retryable and part.attempts < svc.retries:
+                part.attempts += 1
+                svc.loop.call_later(
+                    min(svc.retry_backoff * 2 ** (part.attempts - 1),
+                        _BACKOFF_CAP_S), self._resend, part)
+            else:
+                svc._part_done(self.address, part, event.status, event.detail)
+        self._pump()
+
+
+class RemoteService:
+    """The service surface :class:`~repro.net.NetServer` drives, served by
+    remote backends.
+
+    :meth:`submit_batch` returns a :class:`~repro.service.ingest.BatchTicket`
+    that resolves once every backend part is acked (a failed ticket's
+    error carries the merged front status).  It and everything behind it
+    run on the loop given to :meth:`bind`; :meth:`drain` and
+    :meth:`snapshot` block on backend round trips, so call them off-loop.
+    """
+
+    def __init__(
+        self,
+        cluster_map: ClusterMap,
+        *,
+        window: int = 16,
+        retries: int = 8,
+        retry_backoff: float = 0.002,
+        timeout: float = 30.0,
+        hold_timeout: float = 60.0,
+        max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
+        registry=None,
+        span_exporter: SpanExporter | None = None,
+    ) -> None:
+        if window < 1:
+            raise ServiceConfigError(f"window must be >= 1, got {window}")
+        self.table = RoutingTable(cluster_map)
+        self.router = ShardRouter(cluster_map.n_shards)
         self.window = window
         self.retries = retries
         self.retry_backoff = retry_backoff
-        self.client = PagingClient(address, timeout=timeout, retries=retries,
-                                   retry_backoff=retry_backoff)
-        self._on_forward = on_forward
-        self._q: _queue.Queue[_Work] = _queue.Queue()
-        self._outstanding: dict[int, _Work] = {}
-        self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run, name=f"repro-proxy-ch-{address}", daemon=True)
-        self._thread.start()
+        self.timeout = timeout
+        self.hold_timeout = hold_timeout
+        self.max_frame_bytes = max_frame_bytes
+        self.registry = registry if registry is not None else null_registry()
+        self._m_submits = self.registry.counter(
+            "repro_proxy_submits_total", "Front submits received")
+        self._m_forwards = self.registry.counter(
+            "repro_proxy_forwards_total",
+            "Parts forwarded to backends", ("backend",))
+        #: Optional exporter for ``proxy``-tier spans (admit + per-part
+        #: forward); incoming contexts are forwarded to backends either
+        #: way, so tracing composes across tiers without proxy recording.
+        self._spans = span_exporter
+        self._submit_seq = 0
+        self.loop: asyncio.AbstractEventLoop | None = None
+        self._links: dict[str, _Link] = {}
+        #: Submits waiting on a held shard, in arrival order.
+        self._parked: deque[_Submit] = deque()
+        self._parked_on = [0] * cluster_map.n_shards
 
-    def enqueue(self, work: _Work) -> None:
-        self._q.put(work)
+    # -- loop lifecycle ------------------------------------------------------
+    def bind(self, loop: asyncio.AbstractEventLoop) -> None:
+        """Serve from ``loop``; releases wake parked submits on it."""
+        self.loop = loop
 
-    def stop(self) -> None:
-        self._stop.set()
-        self._thread.join(5.0)
-        self.client.close()
+        def wake() -> None:
+            with contextlib.suppress(RuntimeError):  # loop already closed
+                loop.call_soon_threadsafe(self._wake)
 
-    # -- channel loop ------------------------------------------------------
-    def _run(self) -> None:
-        while not self._stop.is_set():
-            try:
-                self._pump()
-            except (OSError, ConnectionError, RemoteError) as exc:
-                self._recover(exc)
+        self.table.on_release = wake
 
-    def _pump(self) -> None:
-        moved = False
-        while (len(self._outstanding) < self.window
-               and not self._q.empty()):
-            try:
-                work = self._q.get_nowait()
-            except _queue.Empty:
-                break
-            self._submit(work)
-            moved = True
-        if self._outstanding:
-            try:
-                rid, result = self.client.collect_any(timeout=_POLL_S)
-            except (TimeoutError, socket.timeout):
-                return
-            work = self._outstanding.pop(rid)
-            if result.retryable and work.attempts < self.retries:
-                work.attempts += 1
-                sleep(min(self.retry_backoff * 2 ** (work.attempts - 1),
-                          _BACKOFF_CAP_S))
-                self._submit(work)
-                return
-            work.pending.part_done(result.status, result.ack.shard,
-                                   result.ack.detail)
-        elif not moved:
-            # Idle: block briefly on the queue so stop() stays responsive.
-            try:
-                work = self._q.get(timeout=0.1)
-            except _queue.Empty:
-                return
-            self._submit(work)
+    async def close(self) -> None:
+        """Drop every backend link (on the bound loop)."""
+        self.table.on_release = None
+        dialers = [link.dialer for link in self._links.values()
+                   if link.dialer is not None]
+        for link in self._links.values():
+            link.close()
+        await asyncio.gather(*dialers, return_exceptions=True)
 
-    def _submit(self, work: _Work) -> None:
-        rid = self.client.submit_nowait(work.pages, work.levels,
-                                        trace=work.trace)
-        self._outstanding[rid] = work
-        self._on_forward(self.address)
-
-    def _recover(self, exc: BaseException) -> None:
-        """Re-dial a dead backend and resubmit everything outstanding."""
-        if isinstance(exc, RemoteError) and exc.request_id != 0:
-            # A per-request typed error is terminal for that part, not a
-            # transport failure.
-            work = self._outstanding.pop(exc.request_id, None)
-            if work is not None:
-                work.pending.part_done("failed", detail=str(exc))
-            return
-        works = list(self._outstanding.values())
-        self._outstanding.clear()
-        while not self._stop.is_set():
-            try:
-                self.client.reconnect()
-                break
-            except OSError:
-                sleep(0.05)
+    # -- submit path (on the loop) --------------------------------------------
+    def submit_batch(self, pages, levels=None, *, trace=None) -> BatchTicket:
+        """Admit (or park) one batch and forward its parts; never blocks."""
+        self._m_submits.inc()
+        pages = np.asarray(pages, dtype=np.int64)
+        if levels is not None:
+            levels = np.asarray(levels, dtype=np.int64)
+            if levels.shape != pages.shape:
+                raise ValueError(
+                    f"{levels.size} levels for {pages.size} pages")
+        if pages.size == 0:
+            return BatchTicket(0, 0)
+        owners = self.router.shards_of(pages)
+        sub = _Submit(BatchTicket(1, int(pages.size)), pages, levels, owners,
+                      np.unique(owners).tolist(), trace)
+        # A submit never overtakes a parked one on a shard they share.
+        cmap = (None if any(self._parked_on[s] for s in sub.shards)
+                else self.table.admit(sub.shards))
+        if cmap is None:
+            self._parked.append(sub)
+            for s in sub.shards:
+                self._parked_on[s] += 1
+            sub.timer = self.loop.call_later(
+                self.hold_timeout, self._hold_expired, sub)
         else:
-            for work in works:
-                work.pending.part_done("failed",
-                                       detail=f"backend {self.address} lost")
+            self._forward(sub, cmap)
+        return sub.ticket
+
+    def _wake(self) -> None:
+        """Admit the parked submits whose shards are open, oldest first."""
+        blocked: set[int] = set()
+        parked, self._parked = self._parked, deque()
+        for sub in parked:
+            cmap = (self.table.admit(sub.shards)
+                    if blocked.isdisjoint(sub.shards) else None)
+            if cmap is None:
+                blocked.update(sub.shards)
+                self._parked.append(sub)
+                continue
+            sub.timer.cancel()
+            for s in sub.shards:
+                self._parked_on[s] -= 1
+            self._forward(sub, cmap)
+
+    def _hold_expired(self, sub: _Submit) -> None:
+        self._parked.remove(sub)
+        for s in sub.shards:
+            self._parked_on[s] -= 1
+        sub.ticket.part_failed(_Refused(
+            "overloaded", "shard held by migration beyond hold_timeout"))
+        self._wake()
+
+    def _forward(self, sub: _Submit, cmap: ClusterMap) -> None:
+        # Group the touched shards by owning backend; each group becomes
+        # one part, its pages kept in arrival order (boolean masks are
+        # order-preserving), so per-shard request order is untouched.
+        by_backend: dict[str, list[int]] = {}
+        for s in sub.shards:
+            by_backend.setdefault(cmap.owner_of(s), []).append(s)
+        sub.n_parts = len(by_backend)
+        ctx = sub.trace
+        spans = self._spans if ctx is not None else None
+        if spans is not None:
+            t = self._submit_seq
+            self._submit_seq += 1
+            ctx = spans.emit(ctx, "admit", tier="proxy", t=t,
+                             attrs={"n_requests": int(sub.pages.size),
+                                    "n_backends": sub.n_parts})
+        part_of = None
+        if sub.n_parts > 1:
+            part_of_shard = np.empty(cmap.n_shards, dtype=np.intp)
+            for idx, owned in enumerate(by_backend.values()):
+                part_of_shard[owned] = idx
+            part_of = part_of_shard[sub.owners]
+        for idx, backend in enumerate(by_backend):
+            pages, levels = sub.pages, sub.levels
+            if part_of is not None:
+                mask = part_of == idx
+                pages = pages[mask]
+                levels = None if levels is None else levels[mask]
+            fwd = ctx
+            if spans is not None:
+                fwd = spans.emit(ctx, "forward", tier="proxy", t=t, index=idx,
+                                 attrs={"backend": backend,
+                                        "n_requests": int(pages.size)})
+            link = self._links.get(backend)
+            if link is None:
+                link = self._links[backend] = _Link(self, backend)
+            link.send(_Part(sub, pages.tolist(),
+                            () if levels is None else levels.tolist(),
+                            None if fwd is None else fwd.to_wire()))
+
+    def _part_done(self, backend: str, part: _Part, status: str,
+                  detail: str) -> None:
+        """Record one part's terminal ack; the last one resolves the ticket."""
+        sub = part.submit
+        sub.outcomes.append((backend, status, detail))
+        if len(sub.outcomes) < sub.n_parts:
             return
-        for work in works:
-            self._submit(work)
+        # Release the routing slots *before* the ack write: a client that
+        # reacts instantly (migrate-on-ack tests do) must see the table
+        # already idle.
+        self.table.finish(sub.shards)
+        statuses = {s for _, s, _ in sub.outcomes}
+        if statuses == {"ok"}:
+            sub.ticket.part_done()
+            return
+        sub.ticket.part_failed(_Refused(
+            "overloaded" if statuses == {"overloaded"} else "failed",
+            "; ".join(f"{b} {s}" + (f": {d}" if d else "")
+                      for b, s, d in sub.outcomes)))
+
+    # -- blocking control plane (off the loop) -------------------------------
+    def _call(self, address: str, fn):
+        """Run one control-plane call on an ephemeral backend client."""
+        with PagingClient(address, timeout=self.timeout) as client:
+            return fn(client)
+
+    def drain(self, timeout: float | None = None) -> bool:
+        """Wait until no admitted submit is in flight, then drain every
+        backend; False when ``timeout`` expired first."""
+        deadline = None if timeout is None else monotonic() + timeout
+
+        def remaining() -> float | None:
+            return None if deadline is None else max(0.0, deadline - monotonic())
+
+        if not self.table.wait_idle(remaining()):
+            return False
+        ok = True
+        for backend in self.table.map.backends:
+            try:
+                ok = self._call(backend, lambda c: c.drain(remaining())) and ok
+            except (OSError, RemoteError) as exc:
+                raise ServiceStateError(
+                    f"backend drain failed: {exc}") from exc
+        return ok
+
+    def snapshot(self) -> dict:
+        """One service-shaped snapshot: each shard from its current owner.
+
+        Backends replicate the full shard set, so every backend reports
+        every shard; only the owner's copy carries that shard's live
+        state (the others are idle or stale post-migration).  Service-wide
+        ingest counters are summed across backends.
+        """
+        cmap = self.table.map
+        try:
+            per_backend = {b: self._call(b, lambda c: c.snapshot())
+                           for b in cmap.backends}
+        except (OSError, RemoteError) as exc:
+            raise ServiceStateError(
+                f"backend snapshot failed: {exc}") from exc
+        shard_dicts = []
+        for shard in range(cmap.n_shards):
+            owner = per_backend[cmap.owner_of(shard)]
+            shard_dicts.append(next(
+                s for s in owner["shards"] if s["shard"] == shard))
+        n_requests = sum(s["n_requests"] for s in shard_dicts)
+        n_hits = sum(s["n_hits"] for s in shard_dicts)
+        cost_by_level: dict[str, float] = {}
+        for s in shard_dicts:
+            for level, cost in s["cost_by_level"].items():
+                cost_by_level[level] = cost_by_level.get(level, 0.0) + cost
+        merged = {
+            "n_requests": n_requests,
+            "n_hits": n_hits,
+            "n_misses": sum(s["n_misses"] for s in shard_dicts),
+            "hit_rate": (n_hits / n_requests) if n_requests else 0.0,
+            "eviction_cost": sum(s["eviction_cost"] for s in shard_dicts),
+            "cost_by_level": cost_by_level,
+        }
+        for key in ("n_overloaded", "n_submitted_batches",
+                    "n_worker_restarts", "n_failed_shards",
+                    "n_faults_injected"):
+            merged[key] = sum(b[key] for b in per_backend.values())
+        merged["shards"] = shard_dicts
+        merged["cluster"] = cmap.to_dict()
+        return merged
 
 
-class ClusterProxy:
-    """A threaded TCP front door routing the wire protocol over a cluster.
+class ClusterProxy(NetServer):
+    """A :class:`~repro.net.NetServer` routing the wire protocol over a cluster.
 
-    ``start()`` binds the listener and returns once the port is known;
-    ``stop()`` closes the listener, then the front connections and their
-    backend channels.  The proxy never owns the backends' lifecycles —
-    they are independent ``repro serve`` processes.
+    Adds the cluster messages (``ClusterStatus``, ``MoveShard``) and the
+    merged ``Snapshot`` to the single-node front end; ``Migrate`` and
+    ``Install`` are backend-only and answer ``bad_request``.  The proxy
+    never owns the backends' lifecycles — they are independent
+    ``repro serve`` processes.
     """
 
     def __init__(
@@ -378,33 +583,24 @@ class ClusterProxy:
         registry=None,
         span_exporter: SpanExporter | None = None,
     ) -> None:
-        if window < 1:
-            raise ServiceConfigError(f"window must be >= 1, got {window}")
-        #: Optional exporter for ``proxy``-tier spans (admit + per-part
-        #: forward); incoming contexts are forwarded to backends either
-        #: way, so tracing composes across tiers without proxy recording.
-        self._spans = span_exporter
-        self._submit_seq = 0
-        self._seq_lock = threading.Lock()
-        self.table = RoutingTable(cluster_map)
-        self.router = ShardRouter(cluster_map.n_shards)
-        self.window = window
-        self.retries = retries
-        self.retry_backoff = retry_backoff
-        self.timeout = timeout
-        self.hold_timeout = hold_timeout
-        self.migration_timeout = migration_timeout
-        self.max_frame_bytes = max_frame_bytes
-        self._host = host
-        self._requested_port = port
         reg = registry if registry is not None else null_registry()
+        service = RemoteService(
+            cluster_map, window=window, retries=retries,
+            retry_backoff=retry_backoff, timeout=timeout,
+            hold_timeout=hold_timeout, max_frame_bytes=max_frame_bytes,
+            registry=reg, span_exporter=span_exporter)
+        # A held submit answers 'overloaded' at hold_timeout, before the
+        # deadline, which also covers one backend round trip.  The front's
+        # repro_net_* families stay out of the proxy registry: federation
+        # sums the proxy page into every backend="all" total.
+        super().__init__(
+            service, host=host, port=port,
+            admission=AdmissionPolicy(request_deadline_s=hold_timeout + timeout,
+                                      max_frame_bytes=max_frame_bytes),
+            registry=null_registry())
+        # NetServer counts each accepted connection through this attribute.
         self._m_connections = reg.counter(
             "repro_proxy_connections_total", "Front connections accepted")
-        self._m_submits = reg.counter(
-            "repro_proxy_submits_total", "Front submits received")
-        self._m_forwards = reg.counter(
-            "repro_proxy_forwards_total",
-            "Parts forwarded to backends", ("backend",))
         self._m_migrations = reg.counter(
             "repro_proxy_migrations_total", "Shard migrations completed")
         self._m_migrating = reg.gauge(
@@ -412,291 +608,77 @@ class ClusterProxy:
         self._m_epoch = reg.gauge(
             "repro_proxy_epoch", "Current cluster map epoch")
         self._m_epoch.set(cluster_map.epoch)
+        self.migration_timeout = migration_timeout
         self.n_migrations = 0
-        self._listener: socket.socket | None = None
-        self._port: int | None = None
-        self._accept_thread: threading.Thread | None = None
-        self._conn_threads: list[threading.Thread] = []
-        self._stopping = threading.Event()
-        self._lock = threading.Lock()
+
+    @property
+    def table(self) -> RoutingTable:
+        return self.service.table
+
+    @property
+    def router(self) -> ShardRouter:
+        return self.service.router
 
     # -- lifecycle ---------------------------------------------------------
-    @property
-    def port(self) -> int:
-        return self._port if self._port is not None else self._requested_port
-
-    @property
-    def host(self) -> str:
-        return self._host
-
-    @property
-    def address(self) -> str:
-        """``host:port`` as accepted by :class:`~repro.net.PagingClient`."""
-        return f"{self._host}:{self.port}"
-
     def start(self, *, check_backends: bool = True) -> "ClusterProxy":
         """Bind the front listener (optionally pinging every backend first)."""
-        if self._listener is not None:
+        if self._thread is not None:
             raise ServiceStateError("cluster proxy already started")
         if check_backends:
             for backend in self.table.map.backends:
-                with PagingClient(backend, timeout=self.timeout) as probe:
+                with PagingClient(backend, timeout=self.service.timeout) as probe:
                     probe.ping()
-        listener = socket.create_server(
-            (self._host, self._requested_port), backlog=64)
-        self._port = listener.getsockname()[1]
-        self._listener = listener
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="repro-proxy-accept", daemon=True)
-        self._accept_thread.start()
+        super().start()
         return self
 
-    def stop(self, timeout: float | None = 10.0) -> None:
-        """Close the listener, then every front connection (idempotent)."""
-        if self._listener is None:
-            return
-        self._stopping.set()
-        # close() alone does not wake a thread blocked in accept();
-        # shutdown() does (it fails with ENOTCONN on some platforms).
-        with contextlib.suppress(OSError):
-            self._listener.shutdown(socket.SHUT_RDWR)
-        with contextlib.suppress(OSError):
-            self._listener.close()
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout)
-            self._accept_thread = None
-        with self._lock:
-            threads = list(self._conn_threads)
-        for t in threads:
-            t.join(timeout)
-        self._listener = None
-
-    def __enter__(self) -> "ClusterProxy":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-    # -- accept / per-connection loops -------------------------------------
-    def _accept_loop(self) -> None:
-        assert self._listener is not None
-        while not self._stopping.is_set():
-            try:
-                sock, _addr = self._listener.accept()
-            except OSError:
-                return  # listener closed by stop()
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self._m_connections.inc()
-            thread = threading.Thread(
-                target=self._serve_front, args=(sock,),
-                name="repro-proxy-conn", daemon=True)
-            with self._lock:
-                self._conn_threads.append(thread)
-            thread.start()
-
-    def _serve_front(self, sock: socket.socket) -> None:
-        conn = _FrontConn(sock)
-        channels: dict[str, _BackendChannel] = {}
-        decoder = FrameDecoder(max_frame_bytes=self.max_frame_bytes)
-        sock.settimeout(0.25)
+    async def _serve(self) -> None:
+        self.service.bind(asyncio.get_running_loop())
         try:
-            while not self._stopping.is_set():
-                try:
-                    data = sock.recv(65536)
-                except socket.timeout:
-                    continue
-                except OSError:
-                    break
-                if not data:
-                    break
-                for event in decoder.feed(data):
-                    if isinstance(event, FrameError):
-                        conn.send(Error(0, event.code, str(event)))
-                        continue
-                    self._dispatch(conn, channels, event)
+            await super()._serve()
         finally:
-            conn.open = False
-            for channel in channels.values():
-                channel.stop()
-            with contextlib.suppress(OSError):
-                sock.close()
-
-    def _channel(self, channels: dict, address: str) -> _BackendChannel:
-        channel = channels.get(address)
-        if channel is None:
-            channel = _BackendChannel(
-                address, window=self.window, retries=self.retries,
-                retry_backoff=self.retry_backoff, timeout=self.timeout,
-                on_forward=lambda a: self._m_forwards.labels(a).inc())
-            channels[address] = channel
-        return channel
+            await self.service.close()
 
     # -- dispatch ----------------------------------------------------------
-    def _dispatch(self, conn: _FrontConn, channels: dict, msg) -> None:
-        if isinstance(msg, SubmitBatch):
-            self._dispatch_submit(conn, channels, msg)
-        elif isinstance(msg, Ping):
-            conn.send(Pong(msg.id))
-        elif isinstance(msg, Snapshot):
-            self._dispatch_snapshot(conn, msg)
-        elif isinstance(msg, Drain):
-            self._dispatch_drain(conn, msg)
-        elif isinstance(msg, ClusterStatus):
-            conn.send(ClusterStatusReply(msg.id, self.status()))
-        elif isinstance(msg, MoveShard):
-            self._dispatch_move(conn, msg)
-        else:
-            conn.send(Error(msg.id, "bad_request",
-                            f"unexpected {msg.type} message"))
+    async def _dispatch(self, conn, msg) -> bool:
+        if isinstance(msg, ClusterStatus):
+            reply = ClusterStatusReply(msg.id, self.status())
+        elif isinstance(msg, (Snapshot, MoveShard)):
+            reply = await asyncio.get_running_loop().run_in_executor(
+                self._executor, self._control, msg)
+        elif isinstance(msg, (Migrate, Install)):
+            reply = Error(msg.id, "bad_request",
+                          f"unexpected {msg.type} message")
+        else:  # submit, ping, drain and response-typed messages
+            return await super()._dispatch(conn, msg)
+        self._send(conn, reply)
+        return False
 
-    def _dispatch_submit(self, conn: _FrontConn, channels: dict,
-                         msg: SubmitBatch) -> None:
-        self._m_submits.inc()
-        pages = np.asarray(msg.pages, dtype=np.int64)
-        if pages.size == 0:
-            conn.send(SubmitAck(msg.id, "ok", 0))
-            return
-        levels = (np.asarray(msg.levels, dtype=np.int64) if msg.levels
-                  else np.ones_like(pages))
-        owners = self.router.shards_of(pages)
-        shards = [int(s) for s in np.unique(owners)]
-        cmap = self.table.admit(shards, self.hold_timeout)
-        if cmap is None:
-            conn.send(SubmitAck(
-                msg.id, "overloaded", int(pages.size),
-                detail="shard held by migration beyond hold_timeout"))
-            return
-        # Group the touched shards by owning backend; each group becomes
-        # one part, its pages kept in arrival order (boolean masks are
-        # order-preserving), so per-shard request order is untouched.
-        by_backend: dict[str, list[int]] = {}
-        for s in shards:
-            by_backend.setdefault(cmap.owner_of(s), []).append(s)
-        ctx = (TraceContext.from_wire(msg.trace)
-               if msg.trace is not None else None)
-        admit_ctx = ctx
-        if ctx is not None and self._spans is not None:
-            with self._seq_lock:
-                t = self._submit_seq
-                self._submit_seq += 1
-            admit_ctx = self._spans.emit(
-                ctx, "admit", tier="proxy", t=t,
-                attrs={"n_requests": int(pages.size),
-                       "n_backends": len(by_backend)})
-        pending = _FrontPending(conn, msg.id, int(pages.size),
-                                len(by_backend), shards, self.table)
-        for idx, (backend, owned) in enumerate(by_backend.items()):
-            mask = np.isin(owners, owned)
-            part_pages = tuple(int(p) for p in pages[mask])
-            fwd_ctx = admit_ctx
-            if admit_ctx is not None and self._spans is not None:
-                fwd_ctx = self._spans.emit(
-                    admit_ctx, "forward", tier="proxy", t=t, index=idx,
-                    attrs={"backend": backend,
-                           "n_requests": len(part_pages)})
-            work = _Work(pending, part_pages,
-                         tuple(int(v) for v in levels[mask]),
-                         trace=fwd_ctx)
-            self._channel(channels, backend).enqueue(work)
-
-    def _dispatch_snapshot(self, conn: _FrontConn, msg: Snapshot) -> None:
-        cmap = self.table.map
-        try:
-            per_backend = {
-                backend: self._backend_call(backend,
-                                            lambda c: c.snapshot())
-                for backend in cmap.backends
-            }
-        except (OSError, RemoteError) as exc:
-            conn.send(Error(msg.id, "unavailable",
-                            f"backend snapshot failed: {exc}"))
-            return
-        conn.send(SnapshotReply(msg.id, self._merge_snapshots(
-            cmap, per_backend)))
-
-    def _dispatch_drain(self, conn: _FrontConn, msg: Drain) -> None:
-        deadline = (None if msg.timeout is None
-                    else monotonic() + msg.timeout)
-
-        def remaining() -> float | None:
-            if deadline is None:
-                return None
-            return max(0.0, deadline - monotonic())
-
-        ok = self.table.wait_idle(remaining())
-        if ok:
-            for backend in self.table.map.backends:
-                try:
-                    ok = self._backend_call(
-                        backend, lambda c: c.drain(remaining())) and ok
-                except (OSError, RemoteError) as exc:
-                    conn.send(Error(msg.id, "unavailable",
-                                    f"backend drain failed: {exc}"))
-                    return
-        conn.send(DrainReply(msg.id, bool(ok)))
-
-    def _dispatch_move(self, conn: _FrontConn, msg: MoveShard) -> None:
+    def _control(self, msg):
+        """Answer a Snapshot or MoveShard (blocking; runs on the executor)."""
+        if isinstance(msg, Snapshot):
+            try:
+                return SnapshotReply(msg.id, self.service.snapshot())
+            except ServiceStateError as exc:
+                return Error(msg.id, "unavailable", str(exc))
         try:
             result = self.migrate(msg.shard, msg.target)
         except (ValueError, ServiceConfigError) as exc:
-            conn.send(Error(msg.id, "bad_request", str(exc)))
-            return
+            return Error(msg.id, "bad_request", str(exc))
         except (MigrationError, OSError, RemoteError) as exc:
-            conn.send(MoveShardReply(
+            return MoveShardReply(
                 msg.id, msg.shard, ok=False, target=msg.target,
-                epoch=self.table.map.epoch, detail=str(exc)))
-            return
-        conn.send(MoveShardReply(
+                epoch=self.table.map.epoch, detail=str(exc))
+        return MoveShardReply(
             msg.id, msg.shard, ok=True, source=result["source"],
             target=result["target"], epoch=result["epoch"],
-            detail=result["detail"]))
-
-    # -- backend helpers ---------------------------------------------------
-    def _backend_call(self, address: str, fn):
-        """Run one control-plane call on an ephemeral backend client."""
-        with PagingClient(address, timeout=self.timeout) as client:
-            return fn(client)
+            detail=result["detail"])
 
     @staticmethod
-    def _merge_snapshots(cmap: ClusterMap, per_backend: dict) -> dict:
-        """One service-shaped snapshot: each shard from its current owner.
-
-        Backends replicate the full shard set, so every backend reports
-        every shard; only the owner's copy carries that shard's live
-        state (the others are idle or stale post-migration).  Service-wide
-        ingest counters are summed across backends.
-        """
-        shard_dicts = []
-        for shard in range(cmap.n_shards):
-            owner = per_backend[cmap.owner_of(shard)]
-            shard_dicts.append(next(
-                s for s in owner["shards"] if s["shard"] == shard))
-        n_requests = sum(s["n_requests"] for s in shard_dicts)
-        n_hits = sum(s["n_hits"] for s in shard_dicts)
-        cost_by_level: dict[str, float] = {}
-        for s in shard_dicts:
-            for level, cost in s["cost_by_level"].items():
-                cost_by_level[level] = cost_by_level.get(level, 0.0) + cost
-        return {
-            "n_requests": n_requests,
-            "n_hits": n_hits,
-            "n_misses": sum(s["n_misses"] for s in shard_dicts),
-            "hit_rate": (n_hits / n_requests) if n_requests else 0.0,
-            "eviction_cost": sum(s["eviction_cost"] for s in shard_dicts),
-            "cost_by_level": cost_by_level,
-            "n_overloaded": sum(b["n_overloaded"]
-                                for b in per_backend.values()),
-            "n_submitted_batches": sum(b["n_submitted_batches"]
-                                       for b in per_backend.values()),
-            "n_worker_restarts": sum(b["n_worker_restarts"]
-                                     for b in per_backend.values()),
-            "n_failed_shards": sum(b["n_failed_shards"]
-                                   for b in per_backend.values()),
-            "n_faults_injected": sum(b["n_faults_injected"]
-                                     for b in per_backend.values()),
-            "shards": shard_dicts,
-            "cluster": cmap.to_dict(),
-        }
+    def _outcome(ticket: BatchTicket) -> tuple[str, str]:
+        if ticket.ok:
+            return "ok", ""
+        refused = ticket.errors[0]
+        return refused.status, str(refused)
 
     # -- control plane -----------------------------------------------------
     def status(self) -> dict:
@@ -710,8 +692,9 @@ class ClusterProxy:
 
         Delegates to :func:`repro.cluster.migrate_shard` with this
         proxy's routing table, so in-flight tickets finish on the old
-        owner before the state moves and new ones only unblock once
-        routing points at the new owner.
+        owner before the state moves and parked ones only resume once
+        routing points at the new owner.  Blocks; never call it on the
+        proxy's event loop.
         """
         self._m_migrating.set(1)
         try:
@@ -731,5 +714,5 @@ class ClusterProxy:
         return result
 
     def __repr__(self) -> str:
-        state = "serving" if self._listener is not None else "stopped"
+        state = "serving" if self._thread is not None else "stopped"
         return f"ClusterProxy({self.address}, {state}, {self.table.map!r})"

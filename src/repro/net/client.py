@@ -17,9 +17,8 @@ send-order).  A typed :class:`~repro.net.frame.Error` reply raises
 :class:`RemoteError` carrying the server's error code.  Socket-level
 failures (reset, timeout) raise ``OSError`` / ``socket.timeout`` — the
 client is deliberately transparent about transport loss: it never hides
-a failure, but :meth:`reconnect` gives callers (the cluster proxy's
-backend channels, chiefly) a one-call way to drop the dead socket and
-its unmatched protocol state, then re-dial and resubmit.
+a failure; :meth:`close` drops the dead socket and its unmatched protocol
+state, and the next call dials again.
 """
 
 from __future__ import annotations
@@ -174,19 +173,6 @@ class PagingClient:
         self._decoder = FrameDecoder(max_frame_bytes=self.max_frame_bytes)
         self._pending.clear()
         self._inflight.clear()
-
-    def reconnect(self) -> "PagingClient":
-        """Drop the (possibly dead) connection and dial again.
-
-        Equivalent to :meth:`close` + :meth:`connect`: any half-decoded
-        frames, unmatched acks and in-flight ids are discarded — a new
-        socket is a new protocol stream, and replies to requests sent on
-        the old one will never arrive.  Callers that pipelined submits
-        must resubmit them; the cluster proxy does exactly that when a
-        backend restarts under it.
-        """
-        self.close()
-        return self.connect()
 
     def __enter__(self) -> "PagingClient":
         return self.connect()

@@ -11,17 +11,22 @@ Request flow per connection (all on the event loop)::
 
     bytes -> FrameDecoder -> admission -> service.submit_batch -> ticket
                                                             |
-         SubmitAck <- deadline-bounded await <- done-callback bridge
+         SubmitAck <- first of (done-callback, deadline timer)
 
 The service's :class:`~repro.service.ingest.BatchTicket` resolves on a
 shard worker thread; :meth:`BatchTicket.add_done_callback` bridges that
-completion into the loop via ``call_soon_threadsafe`` — the event loop
-never blocks in ``ticket.wait``.  Slow batches are bounded by a
+completion into the loop via ``call_soon_threadsafe`` (or answers
+directly when the ticket resolves on the loop itself) — the event loop
+never blocks in ``ticket.wait``, and an accepted submit costs one
+callback and one timer, not a task.  Slow batches are bounded by a
 server-side deadline (answered ``deadline``), bursts beyond the
 per-connection window shed the oldest response slot (answered ``shed``),
 and the service's own :class:`~repro.service.ingest.Overloaded` /
 :class:`~repro.service.ingest.Failed` rejections map onto ``SubmitAck``
 statuses — the client always gets a typed answer, never a hang.
+
+Replies are written without awaiting; the reader awaits ``drain()`` once
+per chunk read, so a client that stops reading stops being read.
 
 Chaos coverage extends to the socket path: an optional
 :class:`~repro.faults.FaultPlan` is polled per connection (``shard`` =
@@ -76,7 +81,8 @@ __all__ = ["NetServer"]
 class _Request:
     """One outstanding submit on one connection."""
 
-    __slots__ = ("id", "n_requests", "started", "responded", "trace", "t")
+    __slots__ = ("id", "n_requests", "started", "responded", "trace", "t",
+                 "timer")
 
     def __init__(self, request_id: int, n_requests: int, started: float,
                  trace: TraceContext | None = None, t: int = 0) -> None:
@@ -90,28 +96,32 @@ class _Request:
         self.trace = trace
         #: Connection-local submit index, the ack span's logical time.
         self.t = t
+        #: The deadline timer, once the service accepted the submit.
+        self.timer: asyncio.TimerHandle | None = None
 
 
 class _Connection:
     """Per-connection state owned by the event loop."""
 
-    __slots__ = ("id", "writer", "window", "write_lock", "n_submits", "open")
+    __slots__ = ("id", "writer", "window", "n_submits", "open")
 
     def __init__(self, conn_id: int, writer: asyncio.StreamWriter,
                  window: InflightWindow) -> None:
         self.id = conn_id
         self.writer = writer
         self.window = window
-        self.write_lock = asyncio.Lock()
         #: Logical clock for net-level fault injection: submits seen.
         self.n_submits = 0
         self.open = True
 
 
 class NetServer:
-    """Serves the wire protocol for one backing :class:`PagingService`.
+    """Serves the wire protocol for one backing service.
 
-    The server does not own the service's lifecycle: start the service
+    The service is a :class:`PagingService` or anything with its
+    ``submit_batch`` / ``drain`` / ``snapshot`` / ``registry`` surface
+    (the cluster proxy's :class:`~repro.cluster.RemoteService`).  The
+    server does not own the service's lifecycle: start the service
     (threaded mode) before accepting traffic and stop it after
     :meth:`stop` — with an inline service every submit is served on the
     event loop thread, which works but serializes connections.
@@ -174,6 +184,7 @@ class NetServer:
         self._m_window_cap.set(self.admission.max_inflight)
         self._gate = ConnectionGate(self.admission.max_connections)
         self._loop: asyncio.AbstractEventLoop | None = None
+        self._loop_tid: int | None = None
         self._thread: threading.Thread | None = None
         self._stop_evt: asyncio.Event | None = None
         self._started_evt = threading.Event()
@@ -240,10 +251,11 @@ class NetServer:
 
         The control plane's net-side actuator: swaps the (frozen)
         :class:`AdmissionPolicy` for new connections and resizes every
-        live connection's window on the event loop.  Shrinking does not
-        retro-shed entries already in flight — the next ``admit`` past
-        the new cap sheds oldest-first, exactly the steady-state rule.
-        Thread-safe; callable before ``start()`` and while serving.
+        live connection's window on the event loop, returning once the
+        loop has applied it.  Shrinking does not retro-shed entries
+        already in flight — the next ``admit`` past the new cap sheds
+        oldest-first, exactly the steady-state rule.  Thread-safe;
+        callable before ``start()`` and while serving.
         """
         from dataclasses import replace
 
@@ -252,14 +264,24 @@ class NetServer:
             raise ValueError(f"max_inflight must be >= 1, got {cap}")
         self.admission = replace(self.admission, max_inflight=cap)
         self._m_window_cap.set(cap)
-        loop = self._loop
-        if loop is not None and not loop.is_closed():
-            with contextlib.suppress(RuntimeError):
-                loop.call_soon_threadsafe(self._apply_window_cap, cap)
+        applied = threading.Event()
 
-    def _apply_window_cap(self, cap: int) -> None:
-        for conn in self._conns:
-            conn.window.cap = cap
+        def apply() -> None:
+            for conn in self._conns:
+                conn.window.cap = cap
+            applied.set()
+
+        loop = self._loop
+        if loop is None or threading.get_ident() == self._loop_tid:
+            apply()
+            return
+        try:
+            loop.call_soon_threadsafe(apply)
+        except RuntimeError:  # loop closed: no live connection to resize
+            return
+        # Bounded, so a loop that stops before running ``apply`` cannot
+        # hang the caller.
+        applied.wait(5.0)
 
     def set_request_deadline(self, deadline_s: float) -> None:
         """Live-adjust the server-side submit deadline (thread-safe).
@@ -280,6 +302,7 @@ class NetServer:
         loop = asyncio.new_event_loop()
         asyncio.set_event_loop(loop)
         self._loop = loop
+        self._loop_tid = threading.get_ident()
         try:
             loop.run_until_complete(self._serve())
         finally:
@@ -323,11 +346,11 @@ class NetServer:
                 sock.setsockopt(_socket.IPPROTO_TCP, _socket.TCP_NODELAY, 1)
         if not self._gate.try_acquire():
             self._m_conn_rejected.inc()
-            await self._write_raw(writer, None, Error(
+            self._write(writer, Error(
                 0, "too_many_connections",
                 f"server accepts at most {self.admission.max_connections} "
                 "connections"))
-            await self._close_writer(writer)
+            writer.close()
             return
         self._m_connections.inc()
         self._m_active.set(self._gate.active)
@@ -346,7 +369,7 @@ class NetServer:
                 for event in decoder.feed(data):
                     if isinstance(event, FrameError):
                         self._m_decode_errors.inc()
-                        await self._send(conn, Error(0, event.code, str(event)))
+                        self._send(conn, Error(0, event.code, str(event)))
                         continue
                     self._m_requests.labels(event.type).inc()
                     close = await self._dispatch(conn, event)
@@ -354,6 +377,7 @@ class NetServer:
                         break
                 if close:
                     break
+                await writer.drain()
         except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
             pass
         finally:
@@ -363,20 +387,25 @@ class NetServer:
                 if not entry.responded:
                     entry.responded = True
                     self._m_inflight.dec()
+                if entry.timer is not None:
+                    entry.timer.cancel()
             self._gate.release()
             self._m_active.set(self._gate.active)
-            await self._close_writer(writer)
+            # No await on wait_closed(): stop() cancelling the handler
+            # there would end it cancelled, which asyncio 3.11 logs as
+            # an error.  The transport finishes closing on its own.
+            writer.close()
 
     async def _dispatch(self, conn: _Connection, msg) -> bool:
         """Handle one message; returns True when the connection must close."""
         if isinstance(msg, SubmitBatch):
             return await self._dispatch_submit(conn, msg)
         if isinstance(msg, Ping):
-            await self._send(conn, Pong(msg.id))
+            self._send(conn, Pong(msg.id))
             return False
         if isinstance(msg, Snapshot):
             snap = self.service.snapshot()
-            await self._send(conn, SnapshotReply(msg.id, snap.to_dict()))
+            self._send(conn, SnapshotReply(msg.id, snap.to_dict()))
             return False
         if isinstance(msg, Drain):
             loop = asyncio.get_running_loop()
@@ -384,9 +413,9 @@ class NetServer:
                 ok = await loop.run_in_executor(
                     self._executor, self.service.drain, msg.timeout)
             except ServiceStateError as exc:
-                await self._send(conn, Error(msg.id, "unavailable", str(exc)))
+                self._send(conn, Error(msg.id, "unavailable", str(exc)))
                 return False
-            await self._send(conn, DrainReply(msg.id, bool(ok)))
+            self._send(conn, DrainReply(msg.id, bool(ok)))
             return False
         if isinstance(msg, Migrate):
             loop = asyncio.get_running_loop()
@@ -397,9 +426,9 @@ class NetServer:
             except (ValueError, ServiceStateError) as exc:
                 code = ("bad_request" if isinstance(exc, ValueError)
                         else "unavailable")
-                await self._send(conn, Error(msg.id, code, str(exc)))
+                self._send(conn, Error(msg.id, code, str(exc)))
                 return False
-            await self._send(conn, MigrateReply(
+            self._send(conn, MigrateReply(
                 msg.id, msg.shard, ckpt.t,
                 base64.b64encode(ckpt.payload).decode("ascii")))
             return False
@@ -412,15 +441,15 @@ class NetServer:
                     self._executor, self.service.install_shard,
                     msg.shard, ckpt, msg.timeout)
             except (ValueError, binascii.Error) as exc:
-                await self._send(conn, Error(msg.id, "bad_request", str(exc)))
+                self._send(conn, Error(msg.id, "bad_request", str(exc)))
                 return False
             except ServiceStateError as exc:
-                await self._send(conn, Error(msg.id, "unavailable", str(exc)))
+                self._send(conn, Error(msg.id, "unavailable", str(exc)))
                 return False
-            await self._send(conn, InstallReply(msg.id, msg.shard, True))
+            self._send(conn, InstallReply(msg.id, msg.shard, True))
             return False
         # A response-typed message from a client is a protocol violation.
-        await self._send(conn, Error(
+        self._send(conn, Error(
             msg.id, "bad_request", f"unexpected {msg.type} message"))
         return False
 
@@ -445,9 +474,11 @@ class NetServer:
         self._m_inflight.inc()
         if victim is not None and not victim.responded:
             victim.responded = True
+            if victim.timer is not None:
+                victim.timer.cancel()
             self._m_shed.inc()
             self._m_inflight.dec()
-            await self._send(conn, SubmitAck(
+            self._send(conn, SubmitAck(
                 victim.id, "shed", victim.n_requests,
                 detail="per-connection in-flight window overflow"))
         pages = np.asarray(msg.pages, dtype=np.int64)
@@ -457,71 +488,49 @@ class NetServer:
             result = self.service.submit_batch(pages, levels, trace=ctx)
         except (InvalidRequestError, InvalidInstanceError, ValueError) as exc:
             self._finish(conn, entry)
-            await self._send(conn, Error(msg.id, "bad_request", str(exc)))
+            self._send(conn, Error(msg.id, "bad_request", str(exc)))
             return False
         except ServiceStateError as exc:
             self._finish(conn, entry)
-            await self._send(conn, Error(msg.id, "unavailable", str(exc)))
+            self._send(conn, Error(msg.id, "unavailable", str(exc)))
             return False
         if isinstance(result, Overloaded):
             self._m_overloaded.inc()
             self._finish(conn, entry)
-            await self._send(conn, SubmitAck(
+            self._send(conn, SubmitAck(
                 msg.id, "overloaded", entry.n_requests, shard=result.shard,
                 detail=f"shard queue at depth {result.queue_depth}"))
             return False
         if isinstance(result, Failed):
             self._finish(conn, entry)
-            await self._send(conn, SubmitAck(
+            self._send(conn, SubmitAck(
                 msg.id, "failed", entry.n_requests, shard=result.shard,
                 detail=repr(result.error)))
             return False
-        # Accepted: bridge the ticket into the loop and answer when it
-        # resolves (or the deadline fires) without blocking the reader.
-        fut: asyncio.Future = loop.create_future()
-
-        def _on_done(_ticket, loop=loop, fut=fut):
-            with contextlib.suppress(RuntimeError):
-                loop.call_soon_threadsafe(self._resolve_future, fut)
-
-        result.add_done_callback(_on_done)
-        waiter = loop.create_task(self._await_ticket(conn, entry, result, fut))
-        self._tasks.add(waiter)
-        waiter.add_done_callback(self._tasks.discard)
+        # Accepted: answer from the ticket's done-callback or the deadline
+        # timer, whichever fires first, without blocking the reader.
+        remaining = self.admission.request_deadline_s - (loop.time() - entry.started)
+        entry.timer = loop.call_later(max(remaining, 1e-3), self._expire,
+                                      conn, entry)
+        result.add_done_callback(
+            lambda ticket: self._on_ticket(conn, entry, ticket))
         return False
 
-    @staticmethod
-    def _resolve_future(fut: asyncio.Future) -> None:
-        if not fut.done():
-            fut.set_result(None)
+    def _on_ticket(self, conn: _Connection, entry: _Request,
+                   ticket: BatchTicket) -> None:
+        """Done-callback: answer on the loop, from whichever thread resolved."""
+        if threading.get_ident() == self._loop_tid:
+            self._answer(conn, entry, ticket)
+            return
+        with contextlib.suppress(RuntimeError):  # loop closed: no one to answer
+            self._loop.call_soon_threadsafe(self._answer, conn, entry, ticket)
 
-    async def _await_ticket(self, conn: _Connection, entry: _Request,
-                            ticket: BatchTicket, fut: asyncio.Future) -> None:
-        loop = asyncio.get_running_loop()
-        remaining = self.admission.request_deadline_s - (loop.time() - entry.started)
-        try:
-            await asyncio.wait_for(fut, max(remaining, 1e-3))
-        except (asyncio.TimeoutError, TimeoutError):
-            if not entry.responded and conn.open:
-                self._m_deadline.inc()
-                self._finish(conn, entry)
-                await self._send(conn, SubmitAck(
-                    entry.id, "deadline", entry.n_requests,
-                    detail=f"not resolved within "
-                           f"{self.admission.request_deadline_s:g}s"))
-            else:
-                conn.window.resolve(entry.id)
-            return
-        except asyncio.CancelledError:
-            conn.window.resolve(entry.id)
-            return
+    def _answer(self, conn: _Connection, entry: _Request,
+                ticket: BatchTicket) -> None:
         if entry.responded or not conn.open:
-            conn.window.resolve(entry.id)
             return
-        status = "ok" if ticket.ok else "failed"
-        detail = "" if ticket.ok else repr(ticket.errors[0] if ticket.errors
-                                           else "shard slice failed")
-        elapsed = loop.time() - entry.started
+        status, detail = self._outcome(ticket)
+        elapsed = self._loop.time() - entry.started
         self._m_latency.observe(elapsed)
         self._finish(conn, entry)
         if self._spans is not None and entry.trace is not None:
@@ -529,39 +538,47 @@ class NetServer:
                 entry.trace, "ack", tier="net", t=entry.t,
                 attrs={"status": status, "n_requests": entry.n_requests},
                 dur=elapsed)
-        await self._send(conn, SubmitAck(
+        self._send(conn, SubmitAck(
             entry.id, status, entry.n_requests, detail=detail))
+
+    @staticmethod
+    def _outcome(ticket: BatchTicket) -> tuple[str, str]:
+        """The ``(status, detail)`` a resolved ticket is acked with."""
+        if ticket.ok:
+            return "ok", ""
+        return "failed", repr(ticket.errors[0] if ticket.errors
+                              else "shard slice failed")
+
+    def _expire(self, conn: _Connection, entry: _Request) -> None:
+        """Deadline timer: answer ``deadline`` if nothing answered yet."""
+        if entry.responded or not conn.open:
+            return
+        self._m_deadline.inc()
+        self._finish(conn, entry)
+        self._send(conn, SubmitAck(
+            entry.id, "deadline", entry.n_requests,
+            detail=f"not resolved within "
+                   f"{self.admission.request_deadline_s:g}s"))
 
     def _finish(self, conn: _Connection, entry: _Request) -> None:
         """Claim the response slot for ``entry`` and release its window seat."""
         entry.responded = True
         conn.window.resolve(entry.id)
         self._m_inflight.dec()
+        if entry.timer is not None:
+            entry.timer.cancel()
 
     # -- writes ------------------------------------------------------------
-    async def _send(self, conn: _Connection, msg) -> None:
-        await self._write_raw(conn.writer, conn.write_lock, msg)
+    def _send(self, conn: _Connection, msg) -> None:
+        self._write(conn.writer, msg)
 
-    async def _write_raw(self, writer: asyncio.StreamWriter,
-                         lock: asyncio.Lock | None, msg) -> None:
-        data = encode(msg, max_frame_bytes=2**31 - 1)
-        try:
-            if lock is not None:
-                async with lock:
-                    writer.write(data)
-                    await writer.drain()
-            else:
-                writer.write(data)
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError, RuntimeError):
+    def _write(self, writer: asyncio.StreamWriter, msg) -> None:
+        """Queue one frame on the transport (never blocks the loop)."""
+        if writer.is_closing():
             return
+        data = encode(msg, max_frame_bytes=2**31 - 1)
+        writer.write(data)
         self._m_bytes.labels("out").inc(len(data))
-
-    @staticmethod
-    async def _close_writer(writer: asyncio.StreamWriter) -> None:
-        with contextlib.suppress(Exception):
-            writer.close()
-            await writer.wait_closed()
 
     def __repr__(self) -> str:
         state = "serving" if self._thread is not None else "stopped"

@@ -3,22 +3,30 @@
 Every test runs the proxy against genuine ``NetServer``-fronted
 ``PagingService`` backends (no mocks): the contracts pinned here are the
 ones operators see — acks round-trip, snapshots merge exactly, held
-shards answer ``overloaded`` instead of deadlocking, and a restarted
-backend is re-dialed transparently.
+shards park without blocking other traffic and answer ``overloaded``
+past the hold timeout, a partly applied batch is never acked retryable,
+the proxy adds no thread per connection, and a restarted backend is
+re-dialed transparently.
 """
 
+import contextlib
 import threading
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms import WaterFillingPolicy
 from repro.cluster import ClusterMap, ClusterProxy
 from repro.core.instance import WeightedPagingInstance
+from repro.faults import FaultPlan
 from repro.net import AdmissionPolicy, NetServer, PagingClient, RemoteError
+from repro.obs import MetricsRegistry
 from repro.service import PagingService, ServiceConfig
 from repro.workloads import sample_weights, zipf_stream
+from tests.holding import held_shards, wait_until
 
 N_PAGES = 64
 N_SHARDS = 4
@@ -26,13 +34,18 @@ SEED = 7
 BATCH = 128
 
 
-def make_backend(port=0):
-    """One full-shard-set backend: service + TCP frontend, started."""
+def make_service(**overrides):
     inst = WeightedPagingInstance(12, sample_weights(N_PAGES, rng=0, high=16.0))
-    config = ServiceConfig(instance=inst, policy_factory=WaterFillingPolicy,
-                           n_shards=N_SHARDS, batch_size=BATCH, seed=SEED,
-                           queue_depth=256)
-    svc = PagingService(config)
+    config = dict(instance=inst, policy_factory=WaterFillingPolicy,
+                  n_shards=N_SHARDS, batch_size=BATCH, seed=SEED,
+                  queue_depth=256)
+    config.update(overrides)
+    return PagingService(ServiceConfig(**config))
+
+
+def make_backend(port=0, **overrides):
+    """One full-shard-set backend: service + TCP frontend, started."""
+    svc = make_service(**overrides)
     svc.start()
     srv = NetServer(svc, port=port,
                     admission=AdmissionPolicy(max_inflight=64,
@@ -49,7 +62,8 @@ def make_workload(length=4000):
 def cluster():
     backends = [make_backend() for _ in range(2)]
     cmap = ClusterMap.balanced([srv.address for _, srv in backends], N_SHARDS)
-    proxy = ClusterProxy(cmap, window=4, timeout=10.0).start()
+    proxy = ClusterProxy(cmap, window=4, timeout=10.0,
+                         registry=MetricsRegistry()).start()
     try:
         yield proxy, backends
     finally:
@@ -57,6 +71,18 @@ def cluster():
         for svc, srv in backends:
             srv.stop()
             svc.stop()
+
+
+def front_submits(proxy):
+    """Front submits the proxy has received (``repro_proxy_submits_total``)."""
+    values = proxy.service.registry.collect()["repro_proxy_submits_total"]
+    return values.get((), 0)
+
+
+def pages_on(proxy, shards):
+    """Every page hashing to one of ``shards``, ascending."""
+    pages = np.arange(N_PAGES)
+    return pages[np.isin(proxy.router.shards_of(pages), list(shards))]
 
 
 def submit_all(client, seq):
@@ -94,6 +120,17 @@ class TestFrontDoor:
         proxy, _ = cluster
         with PagingClient(proxy.address, timeout=5.0) as client:
             assert client.submit_batch([]).ok
+
+    def test_backend_only_messages_are_bad_requests(self, cluster):
+        proxy, _ = cluster
+        with PagingClient(proxy.address, timeout=5.0) as client:
+            with pytest.raises(RemoteError) as err:
+                client.migrate_shard(0, timeout=1.0)
+            assert err.value.code == "bad_request"
+            with pytest.raises(RemoteError) as err:
+                client.install_shard(0, 0, b"", timeout=1.0)
+            assert err.value.code == "bad_request"
+            assert client.ping() < 5.0
 
     def test_pipelined_submits_preserve_totals(self, cluster):
         proxy, backends = cluster
@@ -195,11 +232,210 @@ class TestHeldShards:
 
         thread = threading.Thread(target=submit)
         thread.start()
-        time.sleep(0.1)  # parked on the hold
+        wait_until(lambda: front_submits(proxy) == 1, what="submit parked")
         proxy.table.release(0)
         thread.join(10.0)
         assert not thread.is_alive()
         assert done["res"].ok
+
+    def test_held_shard_blocks_neither_ping_nor_other_shards(self, cluster):
+        proxy, _ = cluster
+        proxy.table.hold(0)
+        try:
+            with PagingClient(proxy.address, timeout=10.0) as client:
+                parked = client.submit_nowait(pages_on(proxy, [0]))
+                wait_until(lambda: front_submits(proxy) == 1,
+                           what="submit parked")
+                # Same connection, behind the parked submit: both answer.
+                assert client.ping() < 5.0
+                assert client.submit_batch(
+                    pages_on(proxy, range(1, N_SHARDS))).ok
+                assert client.inflight == 1  # still parked
+                proxy.table.release(0)
+                assert client.collect(parked).ok
+        finally:
+            proxy.table.release(0)
+
+
+class TestFrontAck:
+    def test_partly_applied_batch_is_failed_not_retryable(self):
+        # Backend B serves one shard slowly (an injected 1 s delay) with
+        # queue depth 1, so B's part of a batch is refused 'overloaded'
+        # while A applies its part.  Acking that 'overloaded' would make
+        # the client resend the whole batch and A apply its part again.
+        a_svc, a_srv = make_backend()
+        plan = ",".join(f"delay:{s}@0:1.0" for s in range(N_SHARDS))
+        b_svc, b_srv = make_backend(queue_depth=1,
+                                    fault_plan=FaultPlan.parse(plan))
+        cmap = ClusterMap.balanced([a_srv.address, b_srv.address], N_SHARDS)
+        proxy = ClusterProxy(cmap, window=4, timeout=10.0, retries=0).start()
+        try:
+            a_shard = cmap.shards_of(a_srv.address)[0]
+            b_shard = cmap.shards_of(b_srv.address)[0]
+            b_pages = pages_on(proxy, [b_shard])
+            a_pages = pages_on(proxy, [a_shard])
+            with PagingClient(proxy.address, timeout=10.0, retries=3) as client:
+                # The first B-only batch stalls B's worker in the delay,
+                # the second fills B's one queue slot.
+                first = client.submit_nowait(b_pages)
+                wait_until(lambda: b_svc.snapshot().n_faults_injected == 1,
+                           what="B's worker stalled")
+                second = client.submit_nowait(b_pages)
+                wait_until(lambda: b_svc.snapshot().n_submitted_batches == 2,
+                           what="B's queue full")
+                res = client.submit_batch(np.concatenate([a_pages, b_pages]))
+                assert client.collect(first).ok
+                assert client.collect(second).ok
+                assert client.drain(10.0)
+            assert res.status == "failed", res.ack
+            assert not res.retryable and res.retries == 0
+            assert f"{a_srv.address} ok" in res.ack.detail
+            assert f"{b_srv.address} overloaded" in res.ack.detail
+            # A applied its part of the batch exactly once.
+            assert a_svc.snapshot().shards[a_shard].n_requests == a_pages.size
+        finally:
+            proxy.stop()
+            for svc, srv in ((a_svc, a_srv), (b_svc, b_srv)):
+                srv.stop()
+                svc.stop()
+
+    def test_overloaded_part_is_retried_until_applied(self):
+        # The proxy retries a refused part itself, with backoff, until the
+        # stalled worker (0.3 s delay) frees its one queue slot.
+        svc, srv = make_backend(queue_depth=1, fault_plan=FaultPlan.parse(
+            ",".join(f"delay:{s}@0:0.3" for s in range(N_SHARDS))))
+        cmap = ClusterMap.balanced([srv.address], N_SHARDS)
+        proxy = ClusterProxy(cmap, window=4, timeout=10.0, retries=50).start()
+        try:
+            pages = pages_on(proxy, [0])
+            with PagingClient(proxy.address, timeout=10.0, retries=0) as client:
+                first = client.submit_nowait(pages)
+                wait_until(lambda: svc.snapshot().n_faults_injected == 1,
+                           what="worker stalled")
+                second = client.submit_nowait(pages)
+                wait_until(lambda: svc.snapshot().n_submitted_batches == 2,
+                           what="queue full")
+                res = client.submit_batch(pages)
+                assert client.collect(first).ok
+                assert client.collect(second).ok
+            assert res.ok and res.retries == 0
+            snap = svc.snapshot()
+            assert snap.n_overloaded >= 1
+            assert snap.shards[0].n_requests == 3 * pages.size
+        finally:
+            proxy.stop()
+            srv.stop()
+            svc.stop()
+
+    def test_all_parts_overloaded_stays_retryable(self):
+        # Nothing applied: 'overloaded' is the honest, retryable answer.
+        svc, srv = make_backend(queue_depth=1, fault_plan=FaultPlan.parse(
+            ",".join(f"delay:{s}@0:1.0" for s in range(N_SHARDS))))
+        cmap = ClusterMap.balanced([srv.address], N_SHARDS)
+        proxy = ClusterProxy(cmap, window=4, timeout=10.0, retries=0).start()
+        try:
+            pages = pages_on(proxy, [0])
+            with PagingClient(proxy.address, timeout=10.0) as client:
+                first = client.submit_nowait(pages)
+                wait_until(lambda: svc.snapshot().n_faults_injected == 1,
+                           what="worker stalled")
+                second = client.submit_nowait(pages)
+                wait_until(lambda: svc.snapshot().n_submitted_batches == 2,
+                           what="queue full")
+                res = client.submit_batch(pages, on_overload="shed")
+                assert client.collect(first).ok
+                assert client.collect(second).ok
+            assert res.status == "overloaded" and res.retryable
+        finally:
+            proxy.stop()
+            srv.stop()
+            svc.stop()
+
+
+class TestOneLoop:
+    @pytest.mark.parametrize("n_conns", [1, 8])
+    def test_connections_add_no_thread(self, cluster, n_conns):
+        # Each connection has a submit in flight to both backends (their
+        # shard workers are held; parts beyond the link window of 4 wait
+        # at the proxy); the proxy serves them all from its one loop
+        # thread, so the process thread count does not move.
+        proxy, backends = cluster
+        clients = [PagingClient(proxy.address, timeout=10.0)
+                   for _ in range(n_conns)]
+        baseline = threading.active_count()
+        try:
+            with contextlib.ExitStack() as holds:
+                for svc, _ in backends:
+                    holds.enter_context(held_shards(svc))
+                for client in clients:
+                    client.submit_nowait(np.arange(N_PAGES))
+                wait_until(lambda: front_submits(proxy) == n_conns and all(
+                    svc.snapshot().n_submitted_batches >= min(n_conns, 4)
+                    for svc, _ in backends), what="parts at the backends")
+                assert threading.active_count() == baseline
+            for client in clients:
+                _, res = client.collect_any()
+                assert res.ok, res
+        finally:
+            for client in clients:
+                client.close()
+
+
+def _reference_snapshot(batches) -> dict:
+    """The single-node snapshot after serving ``batches`` in order."""
+    svc = make_service()
+    for pages, levels in batches:
+        assert svc.submit_batch(pages, levels).ok
+    return svc.snapshot().to_dict()
+
+
+class TestExactness:
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(sizes=st.lists(st.integers(1, 160), min_size=3, max_size=10),
+           window=st.integers(1, 8), hold_at=st.integers(0, 4),
+           hold_for=st.integers(1, 4),
+           held=st.integers(0, N_SHARDS - 1))
+    def test_proxied_stream_equals_single_node(self, sizes, window, hold_at,
+                                               hold_for, held):
+        """One front connection, random batch sizes and window, one shard
+        held and released mid-stream: the merged ledger is the
+        single-node ledger, ``==``."""
+        seq = zipf_stream(N_PAGES, sum(sizes), alpha=0.9, rng=5)
+        bounds = np.cumsum([0, *sizes])
+        batches = [(seq.pages[lo:hi], seq.levels[lo:hi])
+                   for lo, hi in zip(bounds[:-1], bounds[1:])]
+        backends = [make_backend() for _ in range(2)]
+        cmap = ClusterMap.balanced([srv.address for _, srv in backends],
+                                   N_SHARDS)
+        proxy = ClusterProxy(cmap, window=4, timeout=10.0).start()
+        try:
+            with PagingClient(proxy.address, timeout=10.0) as client:
+                for i, (pages, levels) in enumerate(batches):
+                    if i == hold_at:
+                        proxy.table.hold(held)
+                    if i == hold_at + hold_for:
+                        proxy.table.release(held)
+                    while client.inflight >= window:
+                        # A full window may be waiting on the hold.
+                        proxy.table.release(held)
+                        assert client.collect_any()[1].ok
+                    client.submit_nowait(pages, levels)
+                proxy.table.release(held)
+                while client.inflight:
+                    assert client.collect_any()[1].ok
+                assert client.drain(10.0)
+                merged = client.snapshot()
+        finally:
+            proxy.stop()
+            for svc, srv in backends:
+                srv.stop()
+                svc.stop()
+        ref = _reference_snapshot(batches)
+        for key in ("n_requests", "n_hits", "n_misses", "eviction_cost",
+                    "cost_by_level"):
+            assert merged[key] == ref[key], key
+        assert [s["n_requests"] for s in merged["shards"]] == \
+            [s["n_requests"] for s in ref["shards"]]
 
 
 class TestBackendRecovery:
@@ -262,16 +498,12 @@ class TestLifecycle:
         svc.stop()
 
     def test_idle_stop_returns_promptly(self):
-        # stop() must wake the thread blocked in accept() rather than
-        # wait out its join timeout.
+        # An idle proxy stops without waiting out its join timeout.
         cmap = ClusterMap.balanced(["127.0.0.1:1"], N_SHARDS)
         proxy = ClusterProxy(cmap).start(check_backends=False)
-        accept_thread = proxy._accept_thread
-        time.sleep(0.2)  # let the accept thread block in accept()
         started = time.perf_counter()
         proxy.stop()
         assert time.perf_counter() - started < 1.0
-        assert not accept_thread.is_alive()
 
     def test_metrics_count_traffic(self):
         from repro.obs import MetricsRegistry
@@ -292,6 +524,18 @@ class TestLifecycle:
             proxy.stop()
             srv.stop()
             svc.stop()
+
+
+    def test_registry_holds_only_proxy_families(self, cluster):
+        # Federation adds the proxy page into every backend="all" sum, so
+        # the front end's repro_net_* families must stay out of it.
+        proxy, _ = cluster
+        with PagingClient(proxy.address, timeout=5.0) as client:
+            assert client.submit_batch([1, 2, 3]).ok
+        assert set(proxy.service.registry.collect()) == {
+            "repro_proxy_connections_total", "repro_proxy_submits_total",
+            "repro_proxy_forwards_total", "repro_proxy_migrations_total",
+            "repro_proxy_migrations_inflight", "repro_proxy_epoch"}
 
 
 class TestRouting:

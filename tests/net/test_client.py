@@ -12,7 +12,7 @@ import threading
 import pytest
 
 from repro.net import FrameDecoder, PagingClient, RemoteError, encode, parse_address
-from repro.net.frame import Error, Ping, Pong, SubmitAck
+from repro.net.frame import Error, Pong, SubmitAck
 
 
 class ScriptedServer:
@@ -251,113 +251,5 @@ class TestFailureModes:
             client.close()
             assert client.inflight == 0
             assert not client.connected
-        finally:
-            srv.close()
-
-
-class RedialServer:
-    """Accepts any number of connections, answering every Ping.
-
-    Unlike :class:`ScriptedServer` (one connection, scripted replies)
-    this server keeps accepting, so it can witness a client re-dialing
-    the same address after a drop.
-    """
-
-    def __init__(self):
-        self.n_connections = 0
-        self._conns = []
-        self._listener = socket.create_server(("127.0.0.1", 0))
-        self.address = f"127.0.0.1:{self._listener.getsockname()[1]}"
-        self._thread = threading.Thread(target=self._run, daemon=True)
-        self._thread.start()
-
-    def _run(self):
-        while True:
-            try:
-                conn, _ = self._listener.accept()
-            except OSError:
-                return
-            self.n_connections += 1
-            self._conns.append(conn)
-            threading.Thread(target=self._serve, args=(conn,),
-                             daemon=True).start()
-
-    def _serve(self, conn):
-        decoder = FrameDecoder()
-        while True:
-            try:
-                data = conn.recv(65536)
-            except OSError:
-                return
-            if not data:
-                return
-            for msg in decoder.feed(data):
-                if isinstance(msg, Ping):
-                    try:
-                        conn.sendall(encode(Pong(msg.id)))
-                    except OSError:
-                        return
-
-    def kill_connections(self):
-        """Hard-close every accepted connection (simulates a crash)."""
-        for conn in self._conns:
-            try:
-                conn.close()
-            except OSError:
-                pass
-        self._conns.clear()
-
-    def close(self):
-        self.kill_connections()
-        # close() alone does not wake the thread blocked in accept().
-        try:
-            self._listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        self._listener.close()
-        self._thread.join(2.0)
-
-
-class TestReconnect:
-    def test_reconnect_redials_and_resets_state(self):
-        srv = RedialServer()
-        try:
-            client = PagingClient(srv.address, timeout=2.0)
-            assert client.ping() >= 0.0
-            client.submit_nowait([1])
-            assert client.inflight == 1
-            client.reconnect()
-            assert client.connected
-            assert client.inflight == 0  # outstanding state discarded
-            assert client.ping() >= 0.0  # fresh connection round-trips
-            assert srv.n_connections == 2
-            client.close()
-        finally:
-            srv.close()
-
-    def test_reconnect_revives_after_peer_crash(self):
-        srv = RedialServer()
-        try:
-            client = PagingClient(srv.address, timeout=1.0)
-            assert client.ping() >= 0.0
-            srv.kill_connections()
-            with pytest.raises((ConnectionResetError, BrokenPipeError,
-                                ConnectionAbortedError, socket.timeout)):
-                client.ping()
-            client.reconnect()
-            assert client.ping() >= 0.0
-            client.close()
-        finally:
-            srv.close()
-
-    def test_reconnect_without_prior_connection_just_dials(self):
-        srv = RedialServer()
-        try:
-            client = PagingClient(srv.address, timeout=2.0)
-            client.reconnect()  # never connected: equivalent to connect()
-            assert client.connected
-            assert client.ping() >= 0.0  # round-trip forces the accept
-            assert srv.n_connections == 1
-            client.close()
         finally:
             srv.close()

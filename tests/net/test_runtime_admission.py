@@ -14,6 +14,7 @@ from repro.net import AdmissionPolicy, NetServer, PagingClient
 from repro.obs import MetricsRegistry
 from repro.service import PagingService, ServiceConfig
 from repro.workloads import sample_weights
+from tests.holding import held_shards, wait_until
 
 N_PAGES = 128
 
@@ -36,10 +37,16 @@ def served():
     svc.stop()
 
 
-def pipelined_statuses(address, n):
+def pipelined_statuses(svc, address, n):
+    """Statuses of ``n`` pipelined submits, all admitted before any serves."""
     with PagingClient(address) as client:
-        for _ in range(n):
-            client.submit_nowait(range(30))
+        with held_shards(svc):
+            before = svc.snapshot().n_submitted_batches
+            for _ in range(n):
+                client.submit_nowait(range(30))
+            wait_until(
+                lambda: svc.snapshot().n_submitted_batches == before + n,
+                what="burst admitted")
         statuses = []
         while client.inflight:
             _, res = client.collect_any()
@@ -50,22 +57,25 @@ def pipelined_statuses(address, n):
 class TestLiveWindowResize:
     def test_tightening_sheds_more_on_live_connections(self, served):
         svc, srv = served
-        assert pipelined_statuses(srv.address, 8).count("shed") == 0
+        assert pipelined_statuses(svc, srv.address, 8).count("shed") == 0
         srv.set_max_inflight(2)
         # New AND existing connections see cap 2: 8 pipelined -> 6 shed.
-        assert pipelined_statuses(srv.address, 8).count("shed") == 6
+        assert pipelined_statuses(svc, srv.address, 8).count("shed") == 6
         srv.set_max_inflight(8)
-        assert pipelined_statuses(srv.address, 8).count("shed") == 0
+        assert pipelined_statuses(svc, srv.address, 8).count("shed") == 0
 
     def test_existing_connection_is_resized_in_place(self, served):
         svc, srv = served
         with PagingClient(srv.address) as client:
             assert client.submit_batch(range(16)).ok  # window established
-            srv.set_max_inflight(1)
-            import time
-            time.sleep(0.1)  # let the loop thread apply the new cap
-            for _ in range(4):
-                client.submit_nowait(range(16))
+            srv.set_max_inflight(1)  # returns once the loop applied it
+            with held_shards(svc):
+                before = svc.snapshot().n_submitted_batches
+                for _ in range(4):
+                    client.submit_nowait(range(16))
+                wait_until(
+                    lambda: svc.snapshot().n_submitted_batches == before + 4,
+                    what="burst admitted")
             statuses = []
             while client.inflight:
                 _, res = client.collect_any()

@@ -25,6 +25,7 @@ from repro.net.frame import Error, Ping, Pong, SubmitBatch
 from repro.obs import MetricsRegistry
 from repro.service import PagingService, ServiceConfig
 from repro.workloads import sample_weights
+from tests.holding import held_shards, wait_until
 
 N_PAGES = 128
 
@@ -169,9 +170,15 @@ class TestAdmission:
     def test_window_overflow_sheds_oldest(self, served):
         # max_inflight=4: ten pipelined submits shed the six oldest slots
         # as the window slides; every request still gets exactly one ack.
+        # The shards are held until all ten are admitted, so no early
+        # completion frees a seat mid-burst.
+        svc = served.service
         with PagingClient(served.address) as client:
-            for _ in range(10):
-                client.submit_nowait(range(30))
+            with held_shards(svc):
+                for _ in range(10):
+                    client.submit_nowait(range(30))
+                wait_until(lambda: svc.snapshot().n_submitted_batches == 10,
+                           what="burst admitted")
             statuses = []
             while client.inflight:
                 _, res = client.collect_any()

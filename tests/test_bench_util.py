@@ -105,3 +105,45 @@ class TestUpdateSummarySurfacing:
         assert summary["e99_demo.stale"]["speedup"] == 1.1
         assert summary["e99_demo.stale"]["below_floor"] == [
             "speedup=1.1 < floor 2"]
+
+
+class TestPairedGate:
+    """E16's gate: interleaved ABBA pairs, median ratio, IQR verdict."""
+
+    @staticmethod
+    def _runners(a_values, b_values, log):
+        a_iter, b_iter = iter(a_values), iter(b_values)
+
+        def run_a():
+            log.append("A")
+            return {"x": next(a_iter)}
+
+        def run_b():
+            log.append("B")
+            return {"x": next(b_iter)}
+
+        return run_a, run_b
+
+    def test_runs_pairs_in_abba_order(self, bench_util):
+        log = []
+        run_a, run_b = self._runners([1.0] * 5, [0.8] * 5, log)
+        gate = bench_util.paired_gate(run_a, run_b, metric="x", floor=0.5)
+        assert "".join(log) == "ABBAABBAAB"
+        assert gate["ratios"] == [0.8] * 5
+        assert gate["usable_cores"] >= 1
+
+    @pytest.mark.parametrize("b_values, verdict", [
+        ([0.6, 0.7, 0.8, 0.9, 1.0], "pass"),         # q1 0.7 clears 0.5
+        ([0.1, 0.2, 0.3, 0.4, 0.45], "below_floor"),  # q3 0.4 under 0.5
+        ([0.3, 0.4, 0.55, 0.6, 0.7], "unresolved"),   # IQR 0.4-0.6
+    ])
+    def test_verdict_reads_the_iqr(self, bench_util, b_values, verdict):
+        run_a, run_b = self._runners([1.0] * 5, b_values, [])
+        gate = bench_util.paired_gate(run_a, run_b, metric="x", floor=0.5)
+        assert gate["verdict"] == verdict
+        assert gate["median"] == pytest.approx(sorted(b_values)[2])
+
+    def test_fewer_than_five_pairs_rejected(self, bench_util):
+        with pytest.raises(ValueError):
+            bench_util.paired_gate(dict, dict, metric="x", floor=0.5,
+                                   pairs=4)
