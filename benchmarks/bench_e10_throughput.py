@@ -3,8 +3,8 @@
 The paper's headline practical claim is that its rounding is "easy to
 implement and very efficient" (Section 1.2) — unlike the prior
 distribution-over-caches roundings.  This bench measures requests/second
-for each component and checks the heap water-filling variant's
-advantage on large caches.
+for each component, the production water-filling kernel against the
+scan oracle among them.
 
 These are genuine pytest-benchmark timings (multiple rounds), not
 single-shot experiment tables.
@@ -16,7 +16,7 @@ import pytest
 
 from repro.algorithms import (
     FractionalMultiLevelSolver,
-    HeapWaterFillingPolicy,
+    KernelWaterFillingPolicy,
     LRUPolicy,
     RandomizedWeightedPagingPolicy,
     WaterFillingPolicy,
@@ -45,9 +45,10 @@ def test_throughput_waterfilling_reference(benchmark, workload):
     benchmark(lambda: simulate(inst, seq, WaterFillingPolicy(), validate=False))
 
 
-def test_throughput_waterfilling_heap(benchmark, workload):
+def test_throughput_waterfilling_kernel(benchmark, workload):
     inst, seq = workload
-    benchmark(lambda: simulate(inst, seq, HeapWaterFillingPolicy(), validate=False))
+    benchmark(lambda: simulate(inst, seq, KernelWaterFillingPolicy(),
+                               validate=False))
 
 
 def test_throughput_fractional_solver(benchmark, workload):
@@ -92,12 +93,12 @@ def test_throughput_tracing_disabled_overhead(workload, tmp_path):
         return best
 
     base = timed(
-        lambda: simulate(inst, seq, HeapWaterFillingPolicy(), validate=False)
+        lambda: simulate(inst, seq, KernelWaterFillingPolicy(), validate=False)
     )
     with DecisionTracer(tmp_path / "off.jsonl", sample=0.0, seed=0) as tracer:
         traced = timed(
             lambda: simulate(
-                inst, seq, HeapWaterFillingPolicy(), validate=False,
+                inst, seq, KernelWaterFillingPolicy(), validate=False,
                 tracer=tracer,
             )
         )
@@ -133,7 +134,7 @@ def test_competitive_ratio_artifact(benchmark, workload):
         )
         ratios: dict[str, float] = {}
         for factory in (LRUPolicy, WaterFillingPolicy,
-                        HeapWaterFillingPolicy,
+                        KernelWaterFillingPolicy,
                         RandomizedWeightedPagingPolicy):
             cost = simulate(inst, seq, factory(), seed=0,
                             validate=False).cost

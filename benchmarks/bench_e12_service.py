@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from time import perf_counter
 
-from repro.algorithms import HeapWaterFillingPolicy
+from repro.algorithms import KernelWaterFillingPolicy
 from repro.analysis import Table
 from repro.core.instance import WeightedPagingInstance
 from repro.service import PagingService, ServiceConfig, run_load
@@ -39,20 +39,20 @@ def _workload():
 
 def _service(inst, n_shards):
     return PagingService(ServiceConfig(
-        instance=inst, policy_factory=HeapWaterFillingPolicy,
+        instance=inst, policy_factory=KernelWaterFillingPolicy,
         n_shards=n_shards, batch_size=BATCH, seed=0,
-        policy_name="waterfilling-heap",
+        policy_name="waterfilling-kernel",
     ))
 
 
 def run_experiment() -> tuple[Table, dict[int, float], dict]:
     inst, seq = _workload()
-    ref = simulate(inst, seq, HeapWaterFillingPolicy(), validate=False)
+    ref = simulate(inst, seq, KernelWaterFillingPolicy(), validate=False)
 
     table = Table(
         ["shards", "evict cost", "vs unsharded", "hit rate", "req/s", "p95 ms"],
         title=f"E12: sharded service vs simulate "
-              f"(waterfilling-heap, Zipf 0.9, n={N_PAGES}, k={K})",
+              f"(waterfilling-kernel, Zipf 0.9, n={N_PAGES}, k={K})",
     )
     table.add_row("simulate", ref.cost, 1.0, ref.hit_rate, "-", "-")
     ratios: dict[int, float] = {}
@@ -97,7 +97,7 @@ def run_experiment() -> tuple[Table, dict[int, float], dict]:
         }
     extra = {
         "workload": {"n_pages": N_PAGES, "k": K, "requests": STREAM_LEN,
-                     "batch_size": BATCH, "policy": "waterfilling-heap"},
+                     "batch_size": BATCH, "policy": "waterfilling-kernel"},
         "unsharded_cost": ref.cost,
         "runs": runs,
     }

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from time import perf_counter
 
-from repro.algorithms import HeapWaterFillingPolicy
+from repro.algorithms import KernelWaterFillingPolicy
 from repro.analysis import Table
 from repro.core.instance import WeightedPagingInstance
 from repro.net import AdmissionPolicy, NetServer, run_network_load
@@ -47,9 +47,9 @@ def _workload():
 
 def _service(inst, registry=None):
     return PagingService(ServiceConfig(
-        instance=inst, policy_factory=HeapWaterFillingPolicy,
+        instance=inst, policy_factory=KernelWaterFillingPolicy,
         n_shards=4, batch_size=BATCH, queue_depth=256, seed=0,
-        policy_name="waterfilling-heap", metrics_registry=registry,
+        policy_name="waterfilling-kernel", metrics_registry=registry,
     ))
 
 
@@ -114,7 +114,7 @@ def run_experiment() -> tuple[Table, dict]:
         ["transport", "conns", "req/s", "p50 ms", "p95 ms", "p99 ms",
          "wire B/req"],
         title=f"E14: networked vs inline serving "
-              f"(waterfilling-heap, Zipf 0.9, n={N_PAGES}, k={K}, "
+              f"(waterfilling-kernel, Zipf 0.9, n={N_PAGES}, k={K}, "
               f"window={WINDOW})",
     )
     table.add_row("inline", "-", int(inline["throughput_req_s"]),
@@ -128,7 +128,7 @@ def run_experiment() -> tuple[Table, dict]:
                       round(run["wire_bytes_per_request"], 1))
     extra = {
         "workload": {"n_pages": N_PAGES, "k": K, "requests": STREAM_LEN,
-                     "batch_size": BATCH, "policy": "waterfilling-heap",
+                     "batch_size": BATCH, "policy": "waterfilling-kernel",
                      "window": WINDOW, "shards": 4},
         "floor_req_s": FLOOR_REQ_S,
         "inline": inline,

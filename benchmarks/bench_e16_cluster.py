@@ -13,8 +13,8 @@ Asserted (shape, not absolutes):
   must not halve capacity.  The gate is paired (``_util.paired_gate``):
   5 interleaved direct/proxied pairs in ABBA order, gated on the median
   ratio, and an interquartile range that straddles the floor is
-  ``unresolved`` and fails.  The same measurement with
-  ``waterfilling-kernel`` backends is reported, not gated.
+  ``unresolved`` and fails.  The backends serve the production
+  ``waterfilling-kernel``.
 * **Lossless migration** — the migration run serves the *entire* stream
   with zero failed and zero dropped batches while shards move twice.
 * **Exact ledger** — the migration run's merged cluster cost equals the
@@ -32,7 +32,7 @@ import threading
 import time
 from time import perf_counter
 
-from repro.algorithms import HeapWaterFillingPolicy, KernelWaterFillingPolicy
+from repro.algorithms import KernelWaterFillingPolicy
 from repro.analysis import Table
 from repro.cluster import ClusterMap, ClusterProxy
 from repro.core.instance import WeightedPagingInstance
@@ -51,9 +51,7 @@ RATE = 1_000_000.0       # effectively unpaced: measure capacity
 FLOOR_RATIO = 0.5        # proxy must keep >= half the direct throughput
 PAIRS = 5                # interleaved direct/proxied pairs per gate
 N_BACKENDS = 2
-#: Gated policy first; the kernel row is informational.
-POLICIES = {"waterfilling-heap": HeapWaterFillingPolicy,
-            "waterfilling-kernel": KernelWaterFillingPolicy}
+POLICY = "waterfilling-kernel"
 
 
 def _workload():
@@ -62,16 +60,16 @@ def _workload():
     return inst, seq
 
 
-def _service(inst, policy="waterfilling-heap"):
+def _service(inst):
     return PagingService(ServiceConfig(
-        instance=inst, policy_factory=POLICIES[policy],
+        instance=inst, policy_factory=KernelWaterFillingPolicy,
         n_shards=N_SHARDS, batch_size=BATCH, queue_depth=256, seed=0,
-        policy_name=policy,
+        policy_name=POLICY,
     ))
 
 
-def _backend(inst, policy="waterfilling-heap"):
-    svc = _service(inst, policy)
+def _backend(inst):
+    svc = _service(inst)
     svc.start()
     srv = NetServer(svc, admission=AdmissionPolicy(
         max_connections=64, max_inflight=WINDOW + 8,
@@ -104,8 +102,8 @@ def _inline_reference_cost(inst, seq) -> float:
     return cost
 
 
-def _run_direct(inst, seq, policy="waterfilling-heap") -> dict:
-    svc, srv = _backend(inst, policy)
+def _run_direct(inst, seq) -> dict:
+    svc, srv = _backend(inst)
     started = perf_counter()
     try:
         report = run_network_load(
@@ -117,9 +115,8 @@ def _run_direct(inst, seq, policy="waterfilling-heap") -> dict:
     return _report_dict(report, perf_counter() - started)
 
 
-def _run_proxied(inst, seq, *, migrate: bool,
-                 policy="waterfilling-heap") -> dict:
-    backends = [_backend(inst, policy) for _ in range(N_BACKENDS)]
+def _run_proxied(inst, seq, *, migrate: bool) -> dict:
+    backends = [_backend(inst) for _ in range(N_BACKENDS)]
     cmap = ClusterMap.balanced([srv.address for _, srv in backends], N_SHARDS)
     # The migration run uses one connection so the proxied stream is
     # order-identical to the inline reference and the ledgers must agree
@@ -165,13 +162,6 @@ def _run_proxied(inst, seq, *, migrate: bool,
     return out
 
 
-def _gate(inst, seq, policy) -> dict:
-    return paired_gate(
-        lambda: _run_direct(inst, seq, policy),
-        lambda: _run_proxied(inst, seq, migrate=False, policy=policy),
-        metric="throughput_req_s", floor=FLOOR_RATIO, pairs=PAIRS)
-
-
 def _median_run(runs: list[dict]) -> dict:
     return sorted(runs, key=lambda r: r["throughput_req_s"])[len(runs) // 2]
 
@@ -179,52 +169,47 @@ def _median_run(runs: list[dict]) -> dict:
 def run_experiment() -> tuple[Table, dict]:
     inst, seq = _workload()
     reference_cost = _inline_reference_cost(inst, seq)
-    gates = {policy: _gate(inst, seq, policy) for policy in POLICIES}
+    gate = paired_gate(
+        lambda: _run_direct(inst, seq),
+        lambda: _run_proxied(inst, seq, migrate=False),
+        metric="throughput_req_s", floor=FLOOR_RATIO, pairs=PAIRS)
     migrated = _run_proxied(inst, seq, migrate=True)
     table = Table(
-        ["backends", "path", "conns", "req/s", "vs direct", "IQR", "p50 ms",
-         "p99 ms", "failed", "epoch"],
+        ["path", "conns", "req/s", "vs direct", "IQR", "p50 ms", "p99 ms",
+         "failed", "epoch"],
         title=f"E16: cluster proxy vs direct TCP "
-              f"(Zipf 0.9, n={N_PAGES}, k={K}, {N_BACKENDS} backends, "
-              f"window={WINDOW}; median of {PAIRS} ABBA pairs)",
+              f"({POLICY}, Zipf 0.9, n={N_PAGES}, k={K}, {N_BACKENDS} "
+              f"backends, window={WINDOW}; median of {PAIRS} ABBA pairs)",
     )
-    for policy, gate in gates.items():
-        direct, proxied = (_median_run(gate["runs_a"]),
-                           _median_run(gate["runs_b"]))
-        table.add_row(policy, "direct tcp", CONNECTIONS,
-                      int(direct["throughput_req_s"]), "1.00x", "-",
-                      direct["p50_ms"], direct["p99_ms"],
-                      direct["failed_batches"], "-")
-        table.add_row(policy, "proxy", CONNECTIONS,
-                      int(proxied["throughput_req_s"]),
-                      f"{gate['median']:.2f}x",
-                      f"{gate['q1']:.2f}-{gate['q3']:.2f}",
-                      proxied["p50_ms"], proxied["p99_ms"],
-                      proxied["failed_batches"], proxied["epoch"])
-    table.add_row("waterfilling-heap", "proxy+migration", 1,
-                  int(migrated["throughput_req_s"]), "-", "-",
-                  migrated["p50_ms"], migrated["p99_ms"],
+    direct, proxied = (_median_run(gate["runs_a"]),
+                       _median_run(gate["runs_b"]))
+    table.add_row("direct tcp", CONNECTIONS,
+                  int(direct["throughput_req_s"]), "1.00x", "-",
+                  direct["p50_ms"], direct["p99_ms"],
+                  direct["failed_batches"], "-")
+    table.add_row("proxy", CONNECTIONS, int(proxied["throughput_req_s"]),
+                  f"{gate['median']:.2f}x",
+                  f"{gate['q1']:.2f}-{gate['q3']:.2f}",
+                  proxied["p50_ms"], proxied["p99_ms"],
+                  proxied["failed_batches"], proxied["epoch"])
+    table.add_row("proxy+migration", 1, int(migrated["throughput_req_s"]),
+                  "-", "-", migrated["p50_ms"], migrated["p99_ms"],
                   migrated["failed_batches"], migrated["epoch"])
-    heap, kernel = gates["waterfilling-heap"], gates["waterfilling-kernel"]
     extra = {
         "workload": {"n_pages": N_PAGES, "k": K, "requests": STREAM_LEN,
-                     "batch_size": BATCH, "policy": "waterfilling-heap",
+                     "batch_size": BATCH, "policy": POLICY,
                      "window": WINDOW, "shards": N_SHARDS,
                      "backends": N_BACKENDS},
         "floor_ratio": FLOOR_RATIO,
-        "usable_cores": heap["usable_cores"],
+        "usable_cores": gate["usable_cores"],
         "pairs": PAIRS,
         "reference_cost": reference_cost,
-        "gates": gates,
+        "gate": gate,
         "migrated": migrated,
-        "proxy_vs_direct": heap["median"],
-        "proxy_vs_direct_q1": heap["q1"],
-        "proxy_vs_direct_q3": heap["q3"],
-        "gate_verdict": heap["verdict"],
-        "kernel_proxy_vs_direct": kernel["median"],
-        "kernel_proxy_vs_direct_q1": kernel["q1"],
-        "kernel_proxy_vs_direct_q3": kernel["q3"],
-        "kernel_verdict": kernel["verdict"],
+        "proxy_vs_direct": gate["median"],
+        "proxy_vs_direct_q1": gate["q1"],
+        "proxy_vs_direct_q3": gate["q3"],
+        "gate_verdict": gate["verdict"],
     }
     return table, extra
 
@@ -233,9 +218,7 @@ def test_e16_cluster_proxy(benchmark):
     table, extra = once(benchmark, run_experiment)
     emit(table, "e16_cluster", extra=extra)
     # Every path delivers the entire stream, losslessly.
-    runs = [extra["migrated"]]
-    for gate in extra["gates"].values():
-        runs += gate["runs_a"] + gate["runs_b"]
+    runs = [extra["migrated"]] + extra["gate"]["runs_a"] + extra["gate"]["runs_b"]
     for run in runs:
         assert run["served"] == STREAM_LEN, run
         assert run["dropped_batches"] == 0, run
@@ -243,7 +226,7 @@ def test_e16_cluster_proxy(benchmark):
     # One proxy hop keeps >= 0.5x direct: the whole IQR of the paired
     # ratios clears the floor (an IQR straddling it is 'unresolved').
     assert extra["gate_verdict"] == "pass", (
-        extra["gate_verdict"], extra["gates"]["waterfilling-heap"]["ratios"])
+        extra["gate_verdict"], extra["gate"]["ratios"])
     # Both migrations genuinely moved the shard (there and back).
     assert extra["migrated"]["migrations"] == [True, True]
     assert extra["migrated"]["epoch"] == 2

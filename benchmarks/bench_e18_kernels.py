@@ -17,10 +17,9 @@ This bench drives a single inline shard (the E15 inline cell: one
 and records requests/s for each implementation of a family:
 
 * the O(k)-scan reference (``landlord-ref`` / ``waterfilling``) — the
-  scalar status-quo baseline the E-series benches configure today,
-* the lazy-heap scalar (``waterfilling-heap``; Landlord has none left —
-  its ``landlord`` name is an alias of the kernel),
-* the columnar kernel,
+  scalar oracle each kernel is pinned ``==`` against,
+* the columnar kernel, each family's one production implementation
+  (``landlord`` and ``waterfilling-heap`` are aliases of the kernels),
 * the water-filling kernel again with 1% decision tracing
   (``enable_tracing(..., sample=0.01)``): sampled requests run the
   kernel's per-request ``serve``, the rest its ``serve_batch``.  This row
@@ -68,7 +67,7 @@ SHAPES = {
 #: family -> implementation tier -> registered policy name
 FAMILIES = {
     "landlord": {"baseline": "landlord-ref", "kernel": "landlord-kernel"},
-    "waterfilling": {"baseline": "waterfilling", "heap": "waterfilling-heap",
+    "waterfilling": {"baseline": "waterfilling",
                      "kernel": "waterfilling-kernel",
                      "traced": "waterfilling-kernel"},
 }
@@ -112,7 +111,6 @@ def run_experiment() -> tuple[Table, dict]:
     )
     runs: dict[str, dict] = {}
     speedups: dict[str, list[float]] = {f: [] for f in FAMILIES}
-    heap_ratios: list[float] = []
     traced_ratios: list[float] = []
     competitive_ratios: dict[str, dict[str, float]] = {}
     best_kernel = 0.0
@@ -160,11 +158,6 @@ def run_experiment() -> tuple[Table, dict]:
                 "kernel_vs_baseline": speedup,
                 "competitive_ratio": family_ratio,
             }
-            if "heap" in cell:
-                vs_heap = (cell["kernel"]["throughput_req_s"]
-                           / cell["heap"]["throughput_req_s"])
-                heap_ratios.append(vs_heap)
-                shape_runs[family]["kernel_vs_heap"] = vs_heap
             if "traced" in cell:
                 vs_untraced = (cell["traced"]["throughput_req_s"]
                                / cell["kernel"]["throughput_req_s"])
@@ -186,9 +179,6 @@ def run_experiment() -> tuple[Table, dict]:
         # on the same single core, so the ratio needs no parallelism.
         "kernel_speedup_gate": {"floor": SPEEDUP_FLOOR, "enforced": True},
         "kernel_speedup_gate_enforced": True,
-        # Informational: the lazy-heap scalar is already O(log k), so the
-        # kernel's win over it is interpreter overhead only.
-        "kernel_vs_heap_waterfilling": min(heap_ratios),
         # Informational, worst shape: 1%-traced water-filling kernel over
         # the untraced one.  No floor here; E21 owns the tracing gate.
         "kernel_traced_1pct_vs_untraced": min(traced_ratios),

@@ -93,7 +93,7 @@ def _workload(n_requests: int):
 
 def _service(inst, registry=None) -> PagingService:
     config = ServiceConfig.from_policy_name(
-        "waterfilling-heap", inst, n_shards=N_SHARDS, batch_size=BATCH,
+        "waterfilling-kernel", inst, n_shards=N_SHARDS, batch_size=BATCH,
         queue_depth=QUEUE_DEPTH, seed=0, metrics_registry=registry)
     svc = PagingService(config)
     svc.start()
@@ -326,7 +326,7 @@ def run_experiment() -> tuple[Table, dict]:
         ["config", "served", "shed %", "p50 ms", "p99 ms", "moves",
          "win vs ctl"],
         title=f"E19: closed-loop admission vs static configs "
-              f"(diurnal peak {PEAK_X:.1f}x capacity, waterfilling-heap, "
+              f"(diurnal peak {PEAK_X:.1f}x capacity, waterfilling-kernel, "
               f"n={N_PAGES}, k={K}, queue {TIGHT_QUEUE}..{QUEUE_DEPTH})",
     )
     for mode, label in (("tight", f"static tight (limit {TIGHT_QUEUE})"),
@@ -345,7 +345,7 @@ def run_experiment() -> tuple[Table, dict]:
 
     extra = {
         "workload": {"n_pages": N_PAGES, "k": K, "requests": n,
-                     "batch_size": BATCH, "policy": "waterfilling-heap",
+                     "batch_size": BATCH, "policy": "waterfilling-kernel",
                      "shards": N_SHARDS, "queue_depth": QUEUE_DEPTH,
                      "profile": str(profile)},
         "capacity_req_s": capacity,

@@ -3,9 +3,9 @@
 ========================  =====================================================
 Policy                    What it is
 ========================  =====================================================
-``waterfilling``          Section 4.1 deterministic O(k) (reference impl)
-``waterfilling-heap``     same algorithm, O(log k)-per-miss heap variant
-``waterfilling-kernel``   same algorithm, columnar numpy batch kernel
+``waterfilling-kernel``   Section 4.1 deterministic O(k), columnar numpy
+                          batch kernel (``waterfilling-heap`` is an alias)
+``waterfilling``          same algorithm, O(k)-scan reference oracle
 ``randomized-weighted``   Algorithm 1 + fractional solver (weighted paging)
 ``randomized-multilevel`` Algorithm 2 + fractional solver (Theorem 1.2/1.5)
 ``lru`` / ``fifo`` /
@@ -61,7 +61,7 @@ from repro.algorithms.sources import (
     TrajectorySource,
     lazify_trajectory,
 )
-from repro.algorithms.waterfilling import HeapWaterFillingPolicy, WaterFillingPolicy
+from repro.algorithms.waterfilling import WaterFillingPolicy
 from repro.algorithms.writeback_adapters import (
     RWAdapterPolicy,
     WBLandlordPolicy,
@@ -85,7 +85,6 @@ __all__ = [
     "ClockPolicy",
     "GDSFPolicy",
     "WaterFillingPolicy",
-    "HeapWaterFillingPolicy",
     "FractionalMultiLevelSolver",
     "FractionalStep",
     "FractionalTrajectory",

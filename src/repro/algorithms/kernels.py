@@ -1,7 +1,8 @@
 """Columnar (structure-of-arrays) batch kernels for the death-key policies.
 
-``landlord-kernel`` is the one production Landlord (the registry name
-``landlord`` is an alias of it).
+``landlord-kernel`` is the one production Landlord and
+``waterfilling-kernel`` the one production water-filling (the registry
+names ``landlord`` and ``waterfilling-heap`` are aliases of them).
 
 Both water-filling and Landlord reduce, via the global-offset trick, to
 the same eviction core: every cached copy carries a *death key*
@@ -53,8 +54,8 @@ the same order as the scalar policies (``weights[p, l-1] + offset`` on
 the same read-only array), pick victims by the same exact ``(death,
 seq)`` minimum, and charge the ledger with identical reasons in
 identical order — so costs, eviction event streams, and final cache
-contents are ``==``-equal to ``landlord-ref`` and
-``waterfilling``/``waterfilling-heap``.  The test suite pins this
+contents are ``==``-equal to the scan oracles ``landlord-ref`` and
+``waterfilling``.  The test suite pins this
 request-by-request (hypothesis suite in
 ``tests/algorithms/test_kernel_equivalence.py``).
 
@@ -340,3 +341,8 @@ class KernelWaterFillingPolicy(_ColumnarPolicy):
     name = "waterfilling-kernel"
     _evict_reason = "waterfill"
     _hit_restores = False
+
+
+# The old lazy-heap water-filling's name resolves to the kernel, as
+# ``landlord`` does; reports print the canonical name.
+policy_registry["waterfilling-heap"] = KernelWaterFillingPolicy

@@ -15,29 +15,20 @@ Section 4.1: every cached copy ``(q, i_q)`` carries a water level
 Theorem 4.1 proves 2k-competitiveness under the geometric-weights
 normalization (4k in general).
 
-Two interchangeable implementations are provided:
-
-* :class:`WaterFillingPolicy` — the direct transcription, O(cache size)
-  work per miss;
-* :class:`HeapWaterFillingPolicy` — O(log k) per miss via the classic
-  global-offset trick: raises apply uniformly to all cached copies, so a
-  copy inserted when the cumulative raise was ``L`` dies when the
-  cumulative raise reaches ``w + L``; a lazy-deletion heap keyed on
-  ``w + L`` pops the same victims in the same order.
-
-Both use the identical deterministic tie-break (insertion sequence
-number), so their behavior is *exactly* equal — a property the test suite
-checks request-by-request.
+:class:`WaterFillingPolicy` is the direct transcription, O(cache size)
+work per miss: the scan oracle.  The production implementation is the
+columnar kernel :class:`~repro.algorithms.kernels.KernelWaterFillingPolicy`
+(``waterfilling-kernel``; ``waterfilling-heap`` is an alias of it).  Both
+key each copy on the cumulative raise at which it drowns and break ties
+by insertion sequence number, so their behavior is *exactly* equal — a
+property the test suite checks request-by-request.
 """
 
 from __future__ import annotations
 
-import heapq
-
 from repro.algorithms.base import Policy, register_policy
-from repro.errors import CacheInvariantError
 
-__all__ = ["WaterFillingPolicy", "HeapWaterFillingPolicy"]
+__all__ = ["WaterFillingPolicy"]
 
 
 @register_policy
@@ -54,7 +45,7 @@ class WaterFillingPolicy(Policy):
         # (equivalently f(q) = offset - offset_at_insert(q); the copy dies
         # when f reaches its weight).  Storing death keys instead of f
         # avoids accumulating per-page floating-point drift and makes this
-        # reference bit-identical to the heap variant.
+        # reference bit-identical to the kernel.
         self._offset = 0.0
         self._death: dict[int, float] = {}
         self._seq: dict[int, int] = {}
@@ -94,70 +85,5 @@ class WaterFillingPolicy(Policy):
             cache.evict(victim, reason="waterfill")
             del self._death[victim]
             del self._seq[victim]
-        cache.fetch(page, level)
-        self._insert(page, level)
-
-
-@register_policy
-class HeapWaterFillingPolicy(Policy):
-    """Heap-accelerated water-filling; behaviorally identical to the reference."""
-
-    name = "waterfilling-heap"
-
-    def bind(self, instance, cache, rng) -> None:
-        super().bind(instance, cache, rng)
-        # Cumulative raise applied to every copy cached since time zero.
-        self._offset = 0.0
-        # Heap of (death key = w + offset_at_insert, seq, page); stale
-        # entries are skipped via the live-entry map.
-        self._heap: list[tuple[float, int, int]] = []
-        self._live: dict[int, int] = {}  # page -> live seq number
-        self._counter = 0
-
-    def _insert(self, page: int, level: int) -> None:
-        key = self.instance.weight(page, level) + self._offset
-        self._live[page] = self._counter
-        heapq.heappush(self._heap, (key, self._counter, page))
-        self._counter += 1
-        # Upgrades push fresh entries for already-live pages, so the
-        # stale tail would otherwise grow with the request count;
-        # compacting at 2x live bounds the heap at <= 2k+1 entries with
-        # O(1) amortized work per push and identical pop order.
-        if len(self._heap) > 2 * len(self._live):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Rebuild the heap from live entries only (drop the stale tail)."""
-        live = self._live
-        self._heap = [e for e in self._heap if live.get(e[2]) == e[1]]
-        heapq.heapify(self._heap)
-
-    def _pop_victim(self) -> tuple[float, int]:
-        heap = self._heap
-        while heap:
-            key, seq, page = heapq.heappop(heap)
-            if self._live.get(page) == seq:
-                del self._live[page]
-                return key, page
-        cache = self.cache
-        raise CacheInvariantError(
-            f"policy {self.name!r}: eviction heap exhausted while the cache "
-            f"holds {len(cache)}/{cache.instance.cache_size} copies — "
-            "policy state is corrupt (e.g. a bad restore)"
-        )
-
-    def serve(self, t: int, page: int, level: int) -> None:
-        cache = self.cache
-        current = cache.level_of(page)
-        if current is not None and current <= level:
-            return
-        if current is not None:
-            cache.replace(page, level, reason="upgrade")
-            self._insert(page, level)
-            return
-        while cache.is_full:
-            key, victim = self._pop_victim()
-            self._offset = key  # the uniform raise that drowned the victim
-            cache.evict(victim, reason="waterfill")
         cache.fetch(page, level)
         self._insert(page, level)

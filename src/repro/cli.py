@@ -25,7 +25,7 @@ Examples
         --trace run.jsonl --trace-sample 0.25
     python -m repro trace replay run.jsonl --top 15
     python -m repro verify --n-pages 5 --cache-size 2 --levels 2
-    python -m repro serve --policy waterfilling --k 64 --shards 4 \
+    python -m repro serve --policy waterfilling-kernel --k 64 --shards 4 \
         --metrics-port 9100 --trace-dir traces/
     python -m repro serve --faults kill:0@600 --checkpoint-interval 500
     python -m repro loadgen --rate 100000 --shards 4 --retry 5 \
@@ -605,7 +605,7 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
 
 def _add_service_args(parser: argparse.ArgumentParser) -> None:
     """Flags shared by ``serve`` and ``loadgen`` (workload + service shape)."""
-    parser.add_argument("--policy", type=_policy, default="waterfilling",
+    parser.add_argument("--policy", type=_policy, default="waterfilling-kernel",
                         help="registered policy name (see `policies`)")
     parser.add_argument("--k", "--cache-size", dest="cache_size", type=_SIZE,
                         default=64, help="total cache capacity, split across shards")

@@ -69,13 +69,11 @@ from repro.net.frame import (
 from repro.net.server import NetServer
 from repro.obs.registry import null_registry
 from repro.obs.rtrace import SpanExporter, flight_recorder
-from repro.service.ingest import BatchTicket
+from repro.service.ingest import BatchTicket, retry_delay
 from repro.service.router import ShardRouter
 
 __all__ = ["ClusterProxy", "RemoteService", "RoutingTable"]
 
-#: Backoff ceiling for per-part overload retries (the client's policy).
-_BACKOFF_CAP_S = 0.05
 #: Pause between dials of an unreachable backend.
 _REDIAL_S = 0.05
 
@@ -299,8 +297,8 @@ class _Link(asyncio.Protocol):
             elif event.retryable and part.attempts < svc.retries:
                 part.attempts += 1
                 svc.loop.call_later(
-                    min(svc.retry_backoff * 2 ** (part.attempts - 1),
-                        _BACKOFF_CAP_S), self._resend, part)
+                    retry_delay(svc.retry_backoff, part.attempts),
+                    self._resend, part)
             else:
                 svc._part_done(self.address, part, event.status, event.detail)
         self._pump()

@@ -6,7 +6,7 @@ Quickstart — kill shard 0 mid-run and let the service recover::
     from repro.service import PagingService, ServiceConfig
 
     config = ServiceConfig.from_policy_name(
-        "waterfilling-heap", inst, n_shards=4,
+        "waterfilling-kernel", inst, n_shards=4,
         fault_plan=FaultPlan.parse("kill:0@10000"),
         checkpoint_interval=4096,
     )

@@ -51,12 +51,9 @@ from repro.net.frame import (
     SubmitBatch,
     encode,
 )
+from repro.service.ingest import retry_delay
 
 __all__ = ["PagingClient", "NetSubmitResult", "RemoteError", "parse_address"]
-
-#: Backoff ceiling for overload retries, matching the inline load
-#: generator's policy in :func:`repro.service.loadgen.run_load`.
-_BACKOFF_CAP_S = 0.05
 
 
 class RemoteError(ReproError, RuntimeError):
@@ -318,8 +315,8 @@ class PagingClient:
         """Submit one batch and wait for its final ack.
 
         ``on_overload="retry"`` resends an ``overloaded`` answer up to
-        ``retries`` times with capped exponential backoff
-        (``min(retry_backoff * 2**(attempt-1), 50ms)``); ``"shed"``
+        ``retries`` times, waiting
+        :func:`~repro.service.ingest.retry_delay` before each; ``"shed"``
         returns the overloaded ack as-is after the first attempt.
 
         ``trace`` (a :class:`repro.obs.rtrace.TraceContext` or ``None``)
@@ -346,8 +343,7 @@ class PagingClient:
             if (ack.retryable and on_overload == "retry"
                     and attempt < self.retries):
                 attempt += 1
-                time.sleep(min(self.retry_backoff * 2 ** (attempt - 1),
-                               _BACKOFF_CAP_S))
+                time.sleep(retry_delay(self.retry_backoff, attempt))
                 continue
             return NetSubmitResult(ack, time.monotonic() - started, attempt)
 

@@ -21,18 +21,26 @@ ends.  Overloaded acks honor ``on_overload`` exactly like the inline
 generator: ``"retry"`` resubmits with capped backoff (round-trip mode)
 or immediate resubmission (pipelined mode, where the window itself is
 the backoff), ``"shed"`` drops and counts.
+
+The pacing schedule, argument checks and report builder are the inline
+generator's own (:mod:`repro.service.loadgen`).
 """
 
 from __future__ import annotations
 
 import threading
 from pathlib import Path
-from time import perf_counter, sleep
+from time import perf_counter
 
 from repro.core.requests import RequestSequence
 from repro.net.client import NetSubmitResult, PagingClient
 from repro.obs.rtrace import RequestSampler, SpanExporter
-from repro.service.loadgen import LoadReport, summarize_latencies
+from repro.service.loadgen import (
+    LoadReport,
+    check_load_args,
+    load_schedule,
+    sleep_until,
+)
 from repro.service.profiles import RateProfile
 
 __all__ = ["run_network_load"]
@@ -70,7 +78,7 @@ class _ConnStats:
 
 
 def _drive_connection(
-    address: str,
+    address: str | tuple[str, int],
     batches: list[tuple[float, int, object, object]],
     stats: _ConnStats,
     *,
@@ -108,9 +116,7 @@ def _drive_connection(
         with client:
             if window <= 1:
                 for due, t, pages, levels in batches:
-                    now = perf_counter()
-                    if now < started + due:
-                        sleep(started + due - now)
+                    sleep_until(started + due)
                     ctx = ctx_for(t)
                     result = client.submit_batch(
                         pages, levels, on_overload=on_overload,
@@ -139,9 +145,7 @@ def _drive_connection(
                     export(ctx, t, len(pages), result)
 
             for due, t, pages, levels in it:
-                now = perf_counter()
-                if now < started + due:
-                    sleep(started + due - now)
+                sleep_until(started + due)
                 while client.inflight >= window:
                     reap()
                 ctx = ctx_for(t)
@@ -193,38 +197,26 @@ def run_network_load(
     as in the inline generator — the configuration the trace-overhead benchmark
     measures.
     """
-    if rate <= 0:
-        raise ValueError(f"rate must be > 0, got {rate}")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    check_load_args(rate, batch_size, max_retries, on_overload)
     if connections < 1:
         raise ValueError(f"connections must be >= 1, got {connections}")
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    if on_overload not in ("retry", "shed"):
-        raise ValueError(
-            f"on_overload must be 'retry' or 'shed', got {on_overload!r}")
     if not 0.0 <= trace_sample <= 1.0:
         raise ValueError(
             f"trace_sample must be in [0, 1], got {trace_sample}")
     pages, levels = seq.pages, seq.levels
     n = len(seq)
-    target = float(rate)
-    offsets = None
-    if profile is not None:
-        offsets = profile.due_offsets(-(-n // batch_size), batch_size)
-        target = profile.mean_rate(n, batch_size)
+    offsets, target = load_schedule(n, batch_size, rate, profile)
     # Deal batches round-robin by global index; each keeps its *global*
     # open-loop due offset so C connections still offer ``rate`` req/s,
     # and its global index ``i`` doubles as the tracing sampler's clock.
     slices: list[list[tuple[float, int, object, object]]] = [
         [] for _ in range(connections)
     ]
-    for i, lo in enumerate(range(0, n, batch_size)):
+    for i, (due, lo) in enumerate(zip(offsets, range(0, n, batch_size))):
         slices[i % connections].append(
-            (lo / rate if offsets is None else float(offsets[i]), i,
-             pages[lo:lo + batch_size], levels[lo:lo + batch_size])
-        )
+            (due, i, pages[lo:lo + batch_size], levels[lo:lo + batch_size]))
     sampler: RequestSampler | None = None
     exporter: SpanExporter | None = None
     if span_dir is not None:
@@ -233,12 +225,11 @@ def run_network_load(
         sampler = RequestSampler(seed=trace_seed, sample=trace_sample)
         exporter = SpanExporter(directory / "client.spans.jsonl", wall=True)
     stats = [_ConnStats() for _ in range(connections)]
-    addr = parse_host(address)
     started = perf_counter()
     threads = [
         threading.Thread(
             target=_drive_connection,
-            args=(addr, slices[c], stats[c]),
+            args=(address, slices[c], stats[c]),
             kwargs=dict(window=window, timeout=timeout,
                         max_retries=0 if on_overload == "shed" else max_retries,
                         retry_backoff=retry_backoff, on_overload=on_overload,
@@ -263,30 +254,13 @@ def run_network_load(
     # covers every accepted batch, mirroring the inline generator.
     with PagingClient(address, timeout=max(timeout, drain_timeout or timeout)) as ctl:
         ctl.drain(drain_timeout)
-    duration = perf_counter() - started
-    latencies = [v for s in stats for v in s.latencies]
-    n_served = sum(s.n_served for s in stats)
-    n_batches = sum(s.n_batches for s in stats)
-    p50, p95, p99 = summarize_latencies(latencies)
-    return LoadReport(
-        target_rate=target,
-        achieved_rate=n_served / duration if duration > 0 else 0.0,
-        duration_s=duration,
-        n_requests=n,
-        n_served=n_served,
-        n_batches=n_batches,
+    return LoadReport.from_tallies(
+        target_rate=target, n_requests=n,
+        duration_s=perf_counter() - started,
+        latencies_s=[v for s in stats for v in s.latencies],
+        n_served=sum(s.n_served for s in stats),
+        n_batches=sum(s.n_batches for s in stats),
         n_overloaded=sum(s.n_overloaded for s in stats),
         n_dropped_batches=sum(s.n_dropped for s in stats),
-        p50_ms=p50,
-        p95_ms=p95,
-        p99_ms=p99,
         n_failed_batches=sum(s.n_failed for s in stats),
-        rejected_all=n_batches == 0,
     )
-
-
-def parse_host(address: str | tuple[str, int]) -> str:
-    """Normalize an address to the ``host:port`` string clients accept."""
-    if isinstance(address, tuple):
-        return f"{address[0]}:{address[1]}"
-    return address

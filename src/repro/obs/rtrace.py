@@ -31,7 +31,6 @@ JSONL regardless of threading.  This module lifts that discipline across
 from __future__ import annotations
 
 import json
-import math
 import re
 import threading
 import time
@@ -39,7 +38,8 @@ from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.obs.tracer import _mix64, read_trace
+from repro.core.splitmix import SeedSampler, mix64
+from repro.obs.tracer import read_trace
 
 __all__ = [
     "TraceContext",
@@ -91,7 +91,7 @@ class TraceContext:
         ``index`` disambiguates siblings with the same name (e.g. one
         ``queue`` span per shard, one ``forward`` span per backend).
         """
-        sid = _mix64(self.span_id ^ _name64(name) ^ (index & _MASK))
+        sid = mix64(self.span_id ^ _name64(name) ^ (index & _MASK))
         return TraceContext(self.trace_id, sid, self.sampled)
 
     def to_wire(self) -> list:
@@ -112,32 +112,18 @@ class TraceContext:
             return None
 
 
-class RequestSampler:
+class RequestSampler(SeedSampler):
     """Head-based request sampling, bit-compatible with ``DecisionTracer``.
 
     Request ``t`` (a deterministic submit counter, not wall time) maps to
     ``trace_id = mix64((seed << 1 | 1) ^ t)`` and is sampled iff the id
-    falls below ``ceil(sample * 2**64)`` — the exact comparison the
-    decision tracer makes, so a request's decision trace and its request
-    trace are sampled in lockstep when they share a seed.
+    falls below ``ceil(sample * 2**64)`` — the one rule of
+    :class:`~repro.core.splitmix.SeedSampler`, which the decision tracer
+    applies too, so a request's decision trace and its request trace are
+    sampled in lockstep when they share a seed.
     """
 
-    __slots__ = ("seed", "sample", "_threshold")
-
-    def __init__(self, seed: int = 0, sample: float = 1.0) -> None:
-        if not 0.0 <= sample <= 1.0:
-            raise ValueError(f"sample must be in [0, 1], got {sample}")
-        self.seed = int(seed)
-        self.sample = float(sample)
-        self._threshold = math.ceil(self.sample * 2.0 ** 64)
-
-    def trace_id(self, t: int) -> int:
-        """The deterministic trace id for logical time ``t``."""
-        return _mix64(((self.seed << 1) | 1) ^ (t & _MASK))
-
-    def want(self, t: int) -> bool:
-        """True when logical time ``t`` is sampled."""
-        return self.trace_id(t) < self._threshold
+    __slots__ = ()
 
     def context(self, t: int) -> TraceContext:
         """Root context for logical time ``t`` (``span_id == trace_id``)."""

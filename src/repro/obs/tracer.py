@@ -9,10 +9,10 @@ set with scores at the moment of choice.
 
 Determinism
 -----------
-Sampling is a pure function of ``(seed, t)`` via the splitmix64 finalizer,
-so the same seed and workload produce the *byte-identical* trace in every
-execution mode (inline, threaded, re-run) — the property the conformance
-tests pin down.  Events carry only logical fields (no wall-clock), and
+Sampling is a pure function of ``(seed, t)`` via the splitmix64 finalizer
+(:class:`~repro.core.splitmix.SeedSampler`), so the same seed and workload
+produce the *byte-identical* trace in every execution mode (inline,
+threaded, re-run) — the property the conformance tests pin down.  Events carry only logical fields (no wall-clock), and
 every line is serialized with a fixed key order.
 
 Bounding
@@ -33,13 +33,10 @@ Format (one JSON object per line)::
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
-from repro.core.splitmix import splitmix64
+from repro.core.splitmix import SeedSampler
 
 __all__ = [
     "TRACE_VERSION",
@@ -65,18 +62,8 @@ TRACE_SCHEMA: dict[str, dict[str, type | tuple[type, ...]]] = {
     "end": {"n_written": int, "n_dropped": int, "n_requests": int},
 }
 
-_MASK = 0xFFFFFFFFFFFFFFFF
 
-
-def _mix64(z: int) -> int:
-    """Scalar splitmix64 finalizer (same mixing as the shard router)."""
-    z = (z + 0x9E3779B97F4A7C15) & _MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    return z ^ (z >> 31)
-
-
-class DecisionTracer:
+class DecisionTracer(SeedSampler):
     """Writes sampled paging decisions as JSONL; see the module docstring.
 
     Parameters
@@ -104,19 +91,16 @@ class DecisionTracer:
         byte-identical to an uninterrupted one.  Requires a path sink.
     """
 
-    __slots__ = ("sample", "seed", "max_events", "source", "n_written",
-                 "n_dropped", "n_requests", "sampled", "_threshold", "_file",
-                 "_write", "_owns_file", "_closed")
+    __slots__ = ("max_events", "source", "n_written", "n_dropped",
+                 "n_requests", "sampled", "_file", "_write", "_owns_file",
+                 "_closed")
 
     def __init__(self, sink, *, sample: float = 1.0, seed: int = 0,
                  max_events: int = 1_000_000, source: str = "",
                  resume: bool = False) -> None:
-        if not (0.0 <= sample <= 1.0):
-            raise ValueError(f"sample must be in [0, 1], got {sample}")
+        super().__init__(seed, sample)
         if max_events < 0:
             raise ValueError(f"max_events must be >= 0, got {max_events}")
-        self.sample = float(sample)
-        self.seed = int(seed)
         self.max_events = int(max_events)
         self.source = source
         self.n_written = 0
@@ -125,8 +109,6 @@ class DecisionTracer:
         #: Whether the request currently being served is sampled; eviction
         #: and candidate events consult this so they follow their request.
         self.sampled = False
-        # sampled(t)  <=>  mix64(seed', t) < sample * 2^64
-        self._threshold = math.ceil(self.sample * 2.0 ** 64)
         if isinstance(sink, (str, Path)):
             self._file = open(sink, "r+" if resume else "w", encoding="utf-8")
             self._owns_file = True
@@ -154,26 +136,6 @@ class DecisionTracer:
         unsampled tracing within noise of untraced throughput.
         """
         return self._threshold > 0
-
-    def want(self, t: int) -> bool:
-        """The deterministic sampling decision for request index ``t``."""
-        threshold = self._threshold
-        if threshold <= 0:
-            return False
-        return _mix64((self.seed << 1 | 1) ^ t) < threshold
-
-    def sample_offsets(self, t0: int, n: int) -> np.ndarray:
-        """The offsets ``i`` in ``[0, n)`` with ``want(t0 + i)``, ascending.
-
-        :meth:`want` over a whole batch at once, bit for bit: the seed is
-        reduced mod 2**64 exactly as the scalar mix reduces it.
-        """
-        if self._threshold <= 0:
-            return np.arange(0)
-        key = np.uint64((self.seed << 1 | 1) & _MASK)
-        mixed = splitmix64(np.arange(t0, t0 + n, dtype=np.uint64) ^ key)
-        # threshold - 1 fits in 64 bits even at sample == 1.0 (2**64).
-        return np.flatnonzero(mixed <= np.uint64(self._threshold - 1))
 
     # -- event emission ------------------------------------------------------
     def _emit(self, obj: dict, *, count: bool = True) -> None:

@@ -43,7 +43,7 @@ Quick start::
     from repro.service import PagingService, ServiceConfig, run_load
 
     config = ServiceConfig.from_policy_name(
-        "waterfilling", instance, n_shards=4, seed=0
+        "waterfilling-kernel", instance, n_shards=4, seed=0
     )
     with PagingService(config) as svc:
         report = run_load(svc, seq, rate=100_000)
@@ -56,9 +56,7 @@ from repro.service.engine import ShardEngine
 from repro.service.ingest import (
     BatchTicket,
     Failed,
-    MicroBatcher,
     Overloaded,
-    Shed,
 )
 from repro.service.loadgen import LoadReport, run_load
 from repro.service.metrics import (
@@ -78,9 +76,7 @@ __all__ = [
     "ShardEngine",
     "BatchTicket",
     "Failed",
-    "MicroBatcher",
     "Overloaded",
-    "Shed",
     "LoadReport",
     "run_load",
     "LatencyHistogram",

@@ -33,14 +33,11 @@ class ServiceConfig:
     n_shards:
         Number of independent shard engines.
     batch_size:
-        Micro-batch size used by :class:`~repro.service.ingest.MicroBatcher`
-        and the load generator.
+        Default micro-batch size of :func:`~repro.service.run_load` (and
+        so of paced experience replay).
     queue_depth:
         Maximum pending batches per shard queue; a submission that would
         exceed it returns :class:`~repro.service.ingest.Overloaded`.
-    flush_interval:
-        Seconds a partially filled micro-batch may wait before it is
-        flushed anyway.
     seed:
         Master seed; shard ``i`` gets the ``i``-th spawned child stream.
     validate:
@@ -93,7 +90,6 @@ class ServiceConfig:
     n_shards: int = 1
     batch_size: int = 512
     queue_depth: int = 64
-    flush_interval: float = 0.005
     seed: int = 0
     validate: bool = False
     policy_name: str = field(default="", compare=False)
@@ -118,10 +114,6 @@ class ServiceConfig:
         if self.queue_depth < 1:
             raise ServiceConfigError(
                 f"queue_depth must be >= 1, got {self.queue_depth}"
-            )
-        if self.flush_interval <= 0:
-            raise ServiceConfigError(
-                f"flush_interval must be > 0, got {self.flush_interval}"
             )
         if self.checkpoint_interval < 0:
             raise ServiceConfigError(

@@ -1,37 +1,45 @@
-"""Batched ingest primitives: tickets, overload responses, micro-batching.
+"""Batched ingest primitives: tickets and overload responses.
 
-The service accepts work in micro-batches.  A successful submission returns
-a :class:`BatchTicket` — a countdown latch completed once every shard has
-processed its slice, carrying the end-to-end batch latency.  A submission
-the bounded queues cannot absorb returns :class:`Overloaded` *immediately*:
-backpressure is an explicit response the client handles (retry, shed,
-slow down), never unbounded buffering inside the service.
+The service accepts work in micro-batches through
+:meth:`~repro.service.server.PagingService.submit_batch`.  A successful
+submission returns a :class:`BatchTicket` — a countdown latch completed
+once every shard has processed its slice, carrying the end-to-end batch
+latency.  A submission the bounded queues cannot absorb returns
+:class:`Overloaded` *immediately*: backpressure is an explicit response
+the client handles (retry, shed, slow down), never unbounded buffering
+inside the service.
 
 Every non-ticket response carries two booleans the client branches on:
 ``accepted`` (did the service take the batch?) and ``retryable`` (is
 resubmitting the same batch ever going to help?).  :class:`Overloaded` is
 transient (``retryable``); :class:`Failed` — the owning shard is
-permanently down — and :class:`Shed` — the batcher dropped the request at
-its buffer cap — are terminal.
-
-:class:`MicroBatcher` adapts a per-request producer to this batch API:
-requests accumulate until ``batch_size`` is reached or the oldest buffered
-request has waited ``flush_interval`` seconds, then the buffer is flushed
-as one batch.  The buffer is *bounded*: under sustained backpressure it
-keeps at most ``max_buffer`` requests and sheds the overflow back to the
-producer instead of growing without limit.
+permanently down — is terminal.  Clients that retry wait
+:func:`retry_delay` between attempts.
 """
 
 from __future__ import annotations
 
 import threading
-from collections.abc import Callable
 from dataclasses import dataclass
-from time import monotonic, perf_counter
+from time import perf_counter
 
-import numpy as np
+__all__ = ["Overloaded", "Failed", "BatchTicket", "BACKOFF_CAP_S",
+           "retry_delay"]
 
-__all__ = ["Overloaded", "Failed", "Shed", "BatchTicket", "MicroBatcher"]
+#: Ceiling on one overload-retry delay: a service mid-recovery can reject
+#: for ~100 ms, and an uncapped doubling would turn a large retry budget
+#: into an astronomically long sleep.
+BACKOFF_CAP_S = 0.05
+
+
+def retry_delay(backoff: float, attempt: int) -> float:
+    """Seconds to wait before overload retry ``attempt`` (1-based).
+
+    ``min(backoff * 2**(attempt - 1), BACKOFF_CAP_S)``: the one retry
+    schedule of the load generators, :class:`~repro.net.PagingClient` and
+    the cluster proxy's backend links.
+    """
+    return min(backoff * 2 ** (attempt - 1), BACKOFF_CAP_S)
 
 
 @dataclass(frozen=True)
@@ -73,34 +81,6 @@ class Failed:
     @property
     def retryable(self) -> bool:
         """False: the shard is gone; retrying the same batch cannot help."""
-        return False
-
-
-@dataclass(frozen=True)
-class Shed:
-    """The micro-batcher dropped this request at its buffer cap.
-
-    ``cause`` is the submit response that kept the buffer full (an
-    :class:`Overloaded` or :class:`Failed`); the producer decides whether
-    to slow down, retry later, or count the loss.
-    """
-
-    page: int
-    level: int
-    cause: object = None
-
-    @property
-    def accepted(self) -> bool:
-        """Always False — the request was not taken."""
-        return False
-
-    @property
-    def retryable(self) -> bool:
-        """False for *this* response: the request was dropped, not queued.
-
-        The producer may still re-``offer`` the same request; whether that
-        helps depends on :attr:`cause`.
-        """
         return False
 
 
@@ -216,108 +196,3 @@ class BatchTicket:
         if self.completed_at is None:
             return None
         return self.completed_at - self.submitted_at
-
-
-class MicroBatcher:
-    """Accumulate single requests into batches for a submit callable.
-
-    Parameters
-    ----------
-    batch_size:
-        Flush as soon as this many requests are buffered.
-    flush_interval:
-        Flush a non-empty buffer once its oldest request has waited this
-        many seconds, even if the batch is short.
-    submit:
-        Called with ``(pages, levels)`` int64 arrays; its return value is
-        handed back to the producer (ticket or rejection response).
-    max_buffer:
-        Hard cap on buffered requests while the submit target rejects
-        with a retryable response.  Defaults to ``4 * batch_size``.  At
-        the cap, :meth:`offer` returns :class:`Shed` without buffering —
-        sustained backpressure surfaces to the producer instead of
-        growing an unbounded list.
-    clock:
-        Injectable monotonic clock, for deterministic tests.
-    """
-
-    __slots__ = ("batch_size", "flush_interval", "max_buffer", "n_shed",
-                 "_submit", "_clock", "_pages", "_levels", "_oldest",
-                 "_last_reject")
-
-    def __init__(
-        self,
-        batch_size: int,
-        flush_interval: float,
-        submit: Callable[[np.ndarray, np.ndarray], object],
-        *,
-        max_buffer: int | None = None,
-        clock: Callable[[], float] = monotonic,
-    ) -> None:
-        if max_buffer is None:
-            max_buffer = 4 * batch_size
-        if max_buffer < batch_size:
-            raise ValueError(
-                f"max_buffer ({max_buffer}) must be >= batch_size ({batch_size})"
-            )
-        self.batch_size = batch_size
-        self.flush_interval = flush_interval
-        self.max_buffer = max_buffer
-        #: Requests dropped at the buffer cap (returned as :class:`Shed`).
-        self.n_shed = 0
-        self._submit = submit
-        self._clock = clock
-        self._pages: list[int] = []
-        self._levels: list[int] = []
-        self._oldest = 0.0
-        self._last_reject: object | None = None
-
-    def __len__(self) -> int:
-        return len(self._pages)
-
-    def offer(self, page: int, level: int = 1) -> object | None:
-        """Buffer one request; returns the submit result on flush, else None.
-
-        At the buffer cap a flush is attempted first; if the service still
-        rejects, the *offered* request is shed (returned as :class:`Shed`,
-        never buffered) so the buffer stays bounded at ``max_buffer``.
-        """
-        if len(self._pages) >= self.max_buffer:
-            result = self.flush()
-            if len(self._pages) >= self.max_buffer:
-                self.n_shed += 1
-                return Shed(page, level, cause=result or self._last_reject)
-        if not self._pages:
-            self._oldest = self._clock()
-        self._pages.append(page)
-        self._levels.append(level)
-        if (len(self._pages) >= self.batch_size
-                or self._clock() - self._oldest >= self.flush_interval):
-            return self.flush()
-        return None
-
-    def flush(self) -> object | None:
-        """Submit whatever is buffered; None if the buffer is empty.
-
-        A *retryable* rejection (:class:`Overloaded`) keeps the buffer so
-        the producer can retry with a later ``flush`` call.  A terminal
-        rejection (:class:`Failed`) sheds the whole buffer — those
-        requests can never be accepted, so holding them only hides loss.
-        """
-        if not self._pages:
-            return None
-        pages = np.asarray(self._pages, dtype=np.int64)
-        levels = np.asarray(self._levels, dtype=np.int64)
-        result = self._submit(pages, levels)
-        if getattr(result, "accepted", True):
-            self._pages.clear()
-            self._levels.clear()
-            self._last_reject = None
-        elif not getattr(result, "retryable", True):
-            self.n_shed += len(self._pages)
-            self._pages.clear()
-            self._levels.clear()
-            self._last_reject = result
-        else:
-            self._last_reject = result
-        return result

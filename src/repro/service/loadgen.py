@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.analysis.tables import Table
 from repro.core.requests import RequestSequence
-from repro.service.ingest import BatchTicket
+from repro.service.ingest import BatchTicket, retry_delay
 from repro.service.profiles import RateProfile
 from repro.service.server import PagingService
 
@@ -81,6 +81,24 @@ class LoadReport:
     n_failed_batches: int = 0
     rejected_all: bool = False
 
+    @classmethod
+    def from_tallies(cls, *, target_rate: float, n_requests: int,
+                     duration_s: float, latencies_s, n_served: int,
+                     n_batches: int, n_overloaded: int,
+                     n_dropped_batches: int,
+                     n_failed_batches: int) -> "LoadReport":
+        """A run's report from its tallies (``n_batches``: accepted)."""
+        p50, p95, p99 = summarize_latencies(latencies_s)
+        return cls(
+            target_rate=target_rate,
+            achieved_rate=n_served / duration_s if duration_s > 0 else 0.0,
+            duration_s=duration_s, n_requests=n_requests, n_served=n_served,
+            n_batches=n_batches, n_overloaded=n_overloaded,
+            n_dropped_batches=n_dropped_batches, p50_ms=p50, p95_ms=p95,
+            p99_ms=p99, n_failed_batches=n_failed_batches,
+            rejected_all=n_batches == 0,
+        )
+
     @property
     def drop_fraction(self) -> float:
         """Fraction of offered requests shed after retries."""
@@ -105,6 +123,38 @@ class LoadReport:
         return self.table().render()
 
 
+def check_load_args(rate: float, batch_size: int, max_retries: int,
+                    on_overload: str) -> None:
+    """Reject load-generator arguments no run can honor (ValueError)."""
+    if rate <= 0:
+        raise ValueError(f"rate must be > 0, got {rate}")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    if max_retries < 0:
+        raise ValueError(f"max_retries must be >= 0, got {max_retries}")
+    if on_overload not in ("retry", "shed"):
+        raise ValueError(
+            f"on_overload must be 'retry' or 'shed', got {on_overload!r}"
+        )
+
+
+def load_schedule(n: int, batch_size: int, rate: float,
+                  profile: RateProfile | None) -> tuple[list[float], float]:
+    """Each batch's due offset in seconds (``i·B/rate``, or the
+    ``profile``'s), and the offered rate the report names as its target."""
+    if profile is None:
+        return [lo / rate for lo in range(0, n, batch_size)], float(rate)
+    return (profile.due_offsets(-(-n // batch_size), batch_size).tolist(),
+            profile.mean_rate(n, batch_size))
+
+
+def sleep_until(deadline: float) -> None:
+    """Sleep until ``perf_counter()`` reaches ``deadline`` (if it has not)."""
+    now = perf_counter()
+    if now < deadline:
+        sleep(deadline - now)
+
+
 def run_load(
     service: PagingService,
     seq: RequestSequence,
@@ -121,10 +171,9 @@ def run_load(
 
     ``batch_size`` defaults to the service's configured micro-batch size.
     ``on_overload`` selects the client policy for ``Overloaded``
-    rejections: ``"retry"`` (exponential backoff, ``retry_backoff *
-    2**(attempt-1)`` seconds capped at 50 ms, up to ``max_retries``
-    attempts) or
-    ``"shed"`` (drop immediately, never sleep).  The call drains the
+    rejections: ``"retry"`` (up to ``max_retries`` attempts, each after
+    :func:`~repro.service.ingest.retry_delay`) or ``"shed"`` (drop
+    immediately, never sleep).  The call drains the
     service before reporting, so counters in a subsequent
     :meth:`~repro.service.server.PagingService.snapshot` cover every
     accepted request.
@@ -134,32 +183,18 @@ def run_load(
     ignored; the report's ``target_rate`` becomes the profile's mean
     offered rate).
     """
-    if rate <= 0:
-        raise ValueError(f"rate must be > 0, got {rate}")
-    if max_retries < 0:
-        raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-    if on_overload not in ("retry", "shed"):
-        raise ValueError(
-            f"on_overload must be 'retry' or 'shed', got {on_overload!r}"
-        )
     b = batch_size if batch_size is not None else service.config.batch_size
+    check_load_args(rate, b, max_retries, on_overload)
     pages, levels = seq.pages, seq.levels
     n = len(seq)
-    offsets = None
-    target = float(rate)
-    if profile is not None:
-        offsets = profile.due_offsets(-(-n // b), b)
-        target = profile.mean_rate(n, b)
+    offsets, target = load_schedule(n, b, rate, profile)
     tickets: list[BatchTicket] = []
     n_overloaded = 0
     n_dropped = 0
     retries_budget = 0 if on_overload == "shed" else max_retries
     started = perf_counter()
-    for i, lo in enumerate(range(0, n, b)):
-        due = started + (lo / rate if offsets is None else offsets[i])
-        now = perf_counter()
-        if now < due:
-            sleep(due - now)
+    for offset, lo in zip(offsets, range(0, n, b)):
+        sleep_until(started + offset)
         batch_pages = pages[lo:lo + b]
         batch_levels = levels[lo:lo + b]
         result = service.submit_batch(batch_pages, batch_levels)
@@ -167,10 +202,7 @@ def run_load(
         while (not result.accepted and retries < retries_budget
                and getattr(result, "retryable", True)):
             retries += 1
-            # Exponential backoff, capped: a service mid-recovery can
-            # reject for ~100ms and an uncapped doubling would turn a
-            # large retry budget into an astronomically long sleep.
-            sleep(min(retry_backoff * 2.0 ** (retries - 1), 0.05))
+            sleep(retry_delay(retry_backoff, retries))
             result = service.submit_batch(batch_pages, batch_levels)
         n_overloaded += retries
         if result.accepted:
@@ -179,25 +211,13 @@ def run_load(
             n_overloaded += 1
             n_dropped += 1
     service.drain(drain_timeout)
-    duration = perf_counter() - started
-    n_failed = sum(1 for t in tickets if t.done and not t.ok)
-    n_served = sum(t.n_requests for t in tickets if t.ok)
-    rejected_all = not tickets
-    p50, p95, p99 = summarize_latencies(
-        [t.latency for t in tickets if t.ok and t.latency is not None]
-    )
-    return LoadReport(
-        target_rate=target,
-        achieved_rate=n_served / duration if duration > 0 else 0.0,
-        duration_s=duration,
-        n_requests=n,
-        n_served=n_served,
-        n_batches=len(tickets),
-        n_overloaded=n_overloaded,
+    return LoadReport.from_tallies(
+        target_rate=target, n_requests=n,
+        duration_s=perf_counter() - started,
+        latencies_s=[t.latency for t in tickets
+                     if t.ok and t.latency is not None],
+        n_served=sum(t.n_requests for t in tickets if t.ok),
+        n_batches=len(tickets), n_overloaded=n_overloaded,
         n_dropped_batches=n_dropped,
-        p50_ms=p50,
-        p95_ms=p95,
-        p99_ms=p99,
-        n_failed_batches=n_failed,
-        rejected_all=rejected_all,
+        n_failed_batches=sum(1 for t in tickets if t.done and not t.ok),
     )

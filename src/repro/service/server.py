@@ -64,7 +64,7 @@ from repro.obs.spans import PhaseProfiler
 from repro.obs.tracer import DecisionTracer
 from repro.service.config import ServiceConfig
 from repro.service.engine import ShardEngine
-from repro.service.ingest import BatchTicket, Failed, MicroBatcher, Overloaded
+from repro.service.ingest import BatchTicket, Failed, Overloaded
 from repro.service.metrics import ServiceSnapshot
 from repro.service.procworker import ProcEngine
 from repro.service.router import ShardRouter
@@ -233,9 +233,6 @@ class PagingService:
         self._lock = threading.Lock()
         self._inflight = 0
         self._idle = threading.Condition(self._lock)
-        self._batcher = MicroBatcher(
-            config.batch_size, config.flush_interval, self.submit_batch
-        )
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> "PagingService":
@@ -314,8 +311,6 @@ class PagingService:
             if self.config.backend == "process":
                 for engine in self.engines:
                     engine.shutdown(remaining())
-        else:
-            self._flush_pending(remaining())
         self._stopped = True
         for tracer in self._tracers:
             tracer.close()
@@ -342,20 +337,6 @@ class PagingService:
         self.stop()
 
     # -- ingest ------------------------------------------------------------
-    def submit(self, page: int, level: int = 1):
-        """Offer one request to the micro-batcher (single-producer API).
-
-        Returns None while the request is buffered, otherwise the flush
-        result (:class:`BatchTicket`, :class:`Overloaded`,
-        :class:`~repro.service.ingest.Failed` or
-        :class:`~repro.service.ingest.Shed`).
-        """
-        return self._batcher.offer(page, level)
-
-    def flush(self):
-        """Force the micro-batcher to submit its partial batch, if any."""
-        return self._batcher.flush()
-
     def submit_batch(self, pages, levels=None, *,
                      trace: TraceContext | None = None,
                      ) -> BatchTicket | Overloaded | Failed:
@@ -463,38 +444,18 @@ class PagingService:
             return ticket
 
     def drain(self, timeout: float | None = None) -> bool:
-        """Flush the micro-batcher and wait until all queued work is served.
+        """Wait until all queued work is served.
 
         Returns False if the timeout expired with work still in flight.
         Never hangs on a dead shard: recovery completes its work, and an
         unrecoverable shard's parts are completed as failed.
         """
-        deadline = None if timeout is None else monotonic() + timeout
-        if not self._flush_pending(timeout):
-            return False
         if not self._started:
             return True
         with self._idle:
-            remaining = (None if deadline is None
-                         else max(0.0, deadline - monotonic()))
-            ok = self._idle.wait_for(lambda: self._inflight == 0, remaining)
+            ok = self._idle.wait_for(lambda: self._inflight == 0, timeout)
         self._raise_pending()
         return ok
-
-    def _flush_pending(self, timeout: float | None) -> bool:
-        """Retry-flush the micro-batcher until accepted, shed or timed out."""
-        deadline = None if timeout is None else monotonic() + timeout
-        while len(self._batcher):
-            result = self._batcher.flush()
-            if result is None or result.accepted:
-                return True
-            if not getattr(result, "retryable", True):
-                # Terminal rejection: the batcher already shed the buffer.
-                return True
-            if deadline is not None and monotonic() >= deadline:
-                return False
-            sleep(0.0005)
-        return True
 
     # -- shard handoff (cluster migration) ---------------------------------
     def _quiesce_shard(self, shard: int, timeout: float | None) -> _ShardState:

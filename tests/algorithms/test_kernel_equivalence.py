@@ -5,8 +5,7 @@ into per-slot columns and serve whole batches, but every float they produce
 comes from the same additions in the same order as the scalar
 implementations (``weight + offset`` death keys, exact ``(death, seq)``
 minimum).  So the comparison here is ``==`` between each kernel and its
-O(k)-scan reference (plus, for water-filling, the lazy-heap scalar) on
-costs, eviction event streams (page, level, cost, reason), final cache
+O(k)-scan reference on costs, eviction event streams (page, level, cost, reason), final cache
 contents and hit counts.  Checkpoint pickling is exercised mid-stream: a
 restored kernel must continue byte-identically.
 """
@@ -19,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import (
-    HeapWaterFillingPolicy,
     KernelLandlordPolicy,
     KernelWaterFillingPolicy,
     LandlordRefPolicy,
@@ -45,7 +43,7 @@ from repro.workloads import (
 #: O(k)-scan oracle.
 FAMILIES = [
     (KernelLandlordPolicy, LandlordRefPolicy),
-    (KernelWaterFillingPolicy, HeapWaterFillingPolicy, WaterFillingPolicy),
+    (KernelWaterFillingPolicy, WaterFillingPolicy),
 ]
 
 
@@ -118,6 +116,8 @@ class TestKernelEquivalence:
     def test_registered(self):
         assert policy_registry["landlord-kernel"] is KernelLandlordPolicy
         assert policy_registry["waterfilling-kernel"] is KernelWaterFillingPolicy
+        # The deleted lazy-heap scalar's name is an alias of the kernel.
+        assert policy_registry["waterfilling-heap"] is KernelWaterFillingPolicy
 
 
 class TestServeBatchChunks:

@@ -5,8 +5,8 @@ The rewrite replaced the O(k) credit-decrement loop (and its
 The columnar kernel (``landlord-kernel``, registered also as ``landlord``)
 and the scan oracle (``landlord-ref``) share exact ``(death, seq)``
 arithmetic, so their behavior is compared with ``==`` — no approx, no
-tolerance.  The same harness re-checks the water-filling pair, which
-pioneered the trick.
+tolerance.  The same harness re-checks the water-filling pair (kernel
+and scan), which pioneered the trick.
 """
 
 import numpy as np
@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import (
-    HeapWaterFillingPolicy,
     KernelLandlordPolicy,
+    KernelWaterFillingPolicy,
     LandlordRefPolicy,
     WaterFillingPolicy,
     policy_registry,
@@ -135,14 +135,14 @@ class TestWaterFillingExactEquivalence:
         inst = random_multilevel_instance(n, k, levels, rng=rng)
         seq = multilevel_stream(n, levels, 200, rng=rng)
         assert_exactly_equivalent(
-            inst, seq, WaterFillingPolicy, HeapWaterFillingPolicy
+            inst, seq, WaterFillingPolicy, KernelWaterFillingPolicy
         )
 
     def test_lockstep(self):
         inst = random_multilevel_instance(12, 4, 2, rng=3)
         seq = multilevel_stream(12, 2, 600, rng=4)
         t = lockstep_divergence(
-            inst, seq, WaterFillingPolicy, HeapWaterFillingPolicy
+            inst, seq, WaterFillingPolicy, KernelWaterFillingPolicy
         )
         assert t is None, f"cache contents diverged at request {t}"
 

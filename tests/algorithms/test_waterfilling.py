@@ -1,11 +1,11 @@
-"""Tests for the Section 4.1 water-filling algorithm (both variants)."""
+"""Tests for the Section 4.1 water-filling algorithm (scan and kernel)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms import HeapWaterFillingPolicy, WaterFillingPolicy
+from repro.algorithms import KernelWaterFillingPolicy, WaterFillingPolicy
 from repro.core.instance import MultiLevelInstance, WeightedPagingInstance
 from repro.core.requests import RequestSequence
 from repro.sim import simulate
@@ -62,9 +62,11 @@ class TestWaterFillingBehavior:
 
 
 class TestHeapEquivalence:
+    """The heap-ordered kernel picks the scan's victims."""
+
     def _assert_equivalent(self, inst, seq):
         a = simulate(inst, seq, WaterFillingPolicy(), record_events=True)
-        b = simulate(inst, seq, HeapWaterFillingPolicy(), record_events=True)
+        b = simulate(inst, seq, KernelWaterFillingPolicy(), record_events=True)
         assert a.cost == pytest.approx(b.cost)
         assert [(e.page, e.level) for e in a.events] == [
             (e.page, e.level) for e in b.events

@@ -146,6 +146,29 @@ class TestReplayExactness:
         assert result.policy == "waterfilling-kernel"
         assert engine.matches_live(result)
 
+    def test_heap_waterfilling_recording_replays_on_the_kernel(self):
+        # Recordings made under the deleted lazy-heap water-filling name
+        # it in their meta; the name is an alias of the kernel, whose
+        # ledger is == the heap's, so they still replay == to live.
+        inst = WeightedPagingInstance(12, sample_weights(N_PAGES, rng=0,
+                                                         high=16.0))
+        seq = zipf_stream(N_PAGES, 1500, rng=11)
+        service = PagingService(ServiceConfig.from_policy_name(
+            "waterfilling-heap", inst, n_shards=4, batch_size=128, seed=7,
+            backend="inline"))
+        recorder = ExperienceRecorder(4)
+        service.attach_recorder(recorder)
+        for lo in range(0, len(seq), 128):
+            service.submit_batch(seq.pages[lo:lo + 128],
+                                 seq.levels[lo:lo + 128])
+        assert isinstance(service.engines[0].policy, KernelWaterFillingPolicy)
+        experience = recorder.experience(service)
+        assert experience.meta["policy"] == "waterfilling-heap"
+        engine = ReplayEngine(experience)
+        result = engine.run()
+        assert result.eviction_cost == experience.meta["live"]["eviction_cost"]
+        assert engine.matches_live(result)
+
 
 class TestPersistenceRoundTrip:
     @pytest.mark.parametrize("suffix", [".npz", ".jsonl"])

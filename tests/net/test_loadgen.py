@@ -91,3 +91,6 @@ class TestNetworkLoad:
             run_network_load(served.address, seq, batch_size=0)
         with pytest.raises(ValueError):
             run_network_load(served.address, seq, on_overload="panic")
+        # The inline generator's checks, shared: negative retry budgets too.
+        with pytest.raises(ValueError, match="max_retries"):
+            run_network_load(served.address, seq, max_retries=-1)

@@ -28,7 +28,7 @@ from repro.sim import simulate
 from repro.workloads import multilevel_stream, random_multilevel_instance
 
 POLICIES = ["waterfilling-kernel", "landlord-kernel", "waterfilling",
-            "waterfilling-heap", "landlord-ref"]
+            "landlord-ref"]
 SAMPLES = [0.0, 1e-3, 0.01, 0.25, 1.0]
 #: A negative seed and seeds >= 2**63 exercise the mod-2**64 reduction.
 SEEDS = [0, 7, -3, 2**63 + 5, 2**64 - 1, 2**70 + 9]

@@ -1,7 +1,6 @@
 """Regression tests for the failure-semantics bugfix sweep:
 
 * ``stop(timeout)`` is one shared deadline, not ``timeout`` per worker join,
-* the micro-batcher buffer is bounded (shed at the cap, never grow),
 * the load generator reports NaN percentiles + ``rejected_all`` instead of
   crashing in ``np.percentile`` when nothing was accepted,
 * empty latency histograms answer percentile queries with zeros.
@@ -18,13 +17,10 @@ import pytest
 from repro.algorithms import LRUPolicy
 from repro.core.instance import WeightedPagingInstance
 from repro.service import (
-    Failed,
     LatencyHistogram,
-    MicroBatcher,
     Overloaded,
     PagingService,
     ServiceConfig,
-    Shed,
     run_load,
 )
 from repro.workloads import zipf_stream
@@ -61,52 +57,6 @@ class TestStopDeadline:
             StallingLRUPolicy.gate.set()
         # Old behavior: drain 0.5s + 4 worker joins x 0.5s each >= 2.5s.
         assert elapsed < 1.5, f"stop(0.5) took {elapsed:.2f}s"
-
-
-class TestMicroBatcherBound:
-    def test_sheds_at_cap_under_sustained_overload(self):
-        """Regression: the buffer grew without bound while the service
-        rejected; now offers past ``max_buffer`` come back as Shed."""
-        reject = Overloaded(0, 4)
-        mb = MicroBatcher(4, 60.0, lambda p, lv: reject, max_buffer=8)
-        results = [mb.offer(i) for i in range(20)]
-        assert len(mb) == 8  # never exceeds the cap
-        assert mb.n_shed == 12
-        shed = [r for r in results if isinstance(r, Shed)]
-        assert len(shed) == 12
-        assert all(s.cause is reject for s in shed)
-        assert all(not s.accepted and not s.retryable for s in shed)
-        assert shed[0].page == 8  # first offer past the cap
-
-    def test_buffer_drains_once_service_recovers(self):
-        # Every offer at or past batch_size attempts a flush: filling the
-        # 8-slot buffer consumes five rejections (offers 3 through 7).
-        answers = iter([Overloaded(0, 4)] * 5 + ["ok"] * 10)
-        mb = MicroBatcher(4, 60.0, lambda p, lv: next(answers), max_buffer=8)
-        for i in range(8):
-            mb.offer(i)
-        assert len(mb) == 8
-        assert mb.flush() == "ok"
-        assert len(mb) == 0
-        assert mb.offer(99) is None  # buffering again, not shedding
-
-    def test_terminal_rejection_sheds_whole_buffer(self):
-        failed = Failed(shard=1)
-        mb = MicroBatcher(4, 60.0, lambda p, lv: failed)
-        mb.offer(1)
-        mb.offer(2)
-        result = mb.flush()
-        assert result is failed
-        assert len(mb) == 0  # nothing held back for a shard that is gone
-        assert mb.n_shed == 2
-
-    def test_max_buffer_below_batch_size_rejected(self):
-        with pytest.raises(ValueError, match="max_buffer"):
-            MicroBatcher(8, 60.0, lambda p, lv: "ok", max_buffer=4)
-
-    def test_default_cap_is_four_batches(self):
-        mb = MicroBatcher(16, 60.0, lambda p, lv: "ok")
-        assert mb.max_buffer == 64
 
 
 class RejectingService:

@@ -55,6 +55,8 @@ class TestRunLoad:
             run_load(svc, seq, rate=0.0)
         with pytest.raises(ValueError):
             run_load(svc, seq, rate=1000.0, max_retries=-1)
+        with pytest.raises(ValueError, match="batch_size"):
+            run_load(svc, seq, rate=1000.0, batch_size=0)
 
     def test_inline_service_also_works(self):
         # run_load does not require threaded mode.

@@ -6,7 +6,7 @@ import pytest
 from repro.algorithms import LRUPolicy, WaterFillingPolicy
 from repro.core.instance import WeightedPagingInstance
 from repro.errors import CacheInvariantError, ServiceStateError
-from repro.service import MicroBatcher, PagingService, ServiceConfig
+from repro.service import PagingService, ServiceConfig
 from repro.service.metrics import LatencyHistogram, ServiceLedger
 from repro.sim import simulate
 from repro.workloads import geometric_instance, multilevel_stream, sample_weights, zipf_stream
@@ -167,38 +167,3 @@ class TestMetricsSnapshot:
         assert ledger.cost_by_level == {1: 6.0, 2: 1.5}
         assert ledger.evictions_by_level == {1: 2, 2: 1}
         assert ledger.eviction_cost == pytest.approx(7.5)
-
-
-class TestMicroBatcher:
-    def test_flushes_at_batch_size(self):
-        batches = []
-        mb = MicroBatcher(3, 60.0, lambda p, lv: batches.append((p, lv)) or "ok")
-        assert mb.offer(1) is None
-        assert mb.offer(2) is None
-        assert mb.offer(3) == "ok"
-        assert len(batches) == 1
-        assert batches[0][0].tolist() == [1, 2, 3]
-        assert len(mb) == 0
-
-    def test_flushes_on_interval(self):
-        clock = iter([0.0, 0.0, 10.0, 10.0]).__next__
-        batches = []
-        mb = MicroBatcher(100, 5.0, lambda p, lv: batches.append(p) or "ok",
-                          clock=clock)
-        assert mb.offer(1) is None
-        assert mb.offer(2) == "ok"  # oldest waited 10s > 5s
-        assert batches[0].tolist() == [1, 2]
-
-    def test_overloaded_flush_keeps_buffer(self):
-        class Rejected:
-            accepted = False
-
-        mb = MicroBatcher(10, 60.0, lambda p, lv: Rejected())
-        mb.offer(1)
-        result = mb.flush()
-        assert not result.accepted
-        assert len(mb) == 1  # retryable
-
-    def test_empty_flush_returns_none(self):
-        mb = MicroBatcher(10, 60.0, lambda p, lv: "ok")
-        assert mb.flush() is None

@@ -25,6 +25,18 @@ class TestRunCommand:
         out = capsys.readouterr().out
         assert "lru" in out and "landlord-kernel" in out
 
+    def test_heap_waterfilling_name_reports_the_kernel(self, capsys):
+        # The deleted lazy-heap water-filling's name is an alias of the
+        # kernel: the flag still resolves, the row names the kernel.
+        rc = main([
+            "run", "--policies", "waterfilling-heap", "--n-pages", "10",
+            "--cache-size", "3", "--requests", "200",
+        ])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "waterfilling-kernel" in out
+        assert "waterfilling-heap" not in out
+
     def test_with_opt_bound(self, capsys):
         rc = main([
             "run", "--policies", "lru", "--n-pages", "6", "--cache-size", "2",
