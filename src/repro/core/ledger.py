@@ -156,28 +156,6 @@ class CostLedger:
             setattr(self, name, value)
 
     # -- reporting ---------------------------------------------------------
-    def merge(self, other: "CostLedger") -> None:
-        """Fold another ledger's totals into this one (for phased runs)."""
-        self.eviction_cost += other.eviction_cost
-        self.n_evictions += other.n_evictions
-        self.n_fetches += other.n_fetches
-        self.n_hits += other.n_hits
-        self.n_misses += other.n_misses
-        for reason, cost in other.cost_by_reason.items():
-            self.cost_by_reason[reason] = self.cost_by_reason.get(reason, 0.0) + cost
-        if self.record_events:
-            self.events.extend(other.events)
-
-    def snapshot(self) -> dict[str, float]:
-        """A plain-dict summary (stable keys, safe to serialize)."""
-        return {
-            "eviction_cost": self.eviction_cost,
-            "n_evictions": float(self.n_evictions),
-            "n_fetches": float(self.n_fetches),
-            "n_hits": float(self.n_hits),
-            "n_misses": float(self.n_misses),
-        }
-
     def __repr__(self) -> str:
         return (
             f"CostLedger(cost={self.eviction_cost:.3f}, evictions={self.n_evictions}, "

@@ -2,23 +2,26 @@
 
 A :class:`ShardCheckpoint` captures everything that determines a shard's
 future behavior — the bound policy (with its RNG cursor), the authoritative
-cache contents, and the cost ledger — as **one** ``pickle.dumps`` of the
-policy object graph (``policy -> cache -> ledger``), so the copy is
-internally consistent by construction and, crucially, *process-portable*:
-the same payload restores an in-process engine after a thread death or a
-fresh worker process after a SIGKILL.
+cache contents, and the cost ledger with the shard's request and batch
+counts — as **one** ``pickle.dumps`` of the policy object graph
+(``policy -> cache -> ledger``), so the copy is internally consistent by
+construction and, crucially, *process-portable*: the same payload restores
+an in-process engine after a thread death or a fresh worker process after
+a SIGKILL.
 
-Two kinds of objects are deliberately excluded from the payload and
-re-attached by the restoring engine (see ``__getstate__`` on
-:class:`~repro.core.ledger.CostLedger`,
-:class:`~repro.service.metrics.ServiceLedger` and
-:class:`~repro.algorithms.base.Policy`):
+Two kinds of objects are deliberately kept out of the payload:
 
-* **Live observability handles** — registry metric children and the
-  decision tracer (an open file).  Exposition counters are therefore
-  *at-least-once* under recovery (replayed work counts twice), exactly
-  like Prometheus counters across a process restart; the determinism
-  surface is the ledger and the trace stream, both of which roll back.
+* **Live observability** — the engine's
+  :class:`~repro.service.metrics.ShardMeter` (registry metric children,
+  latency window, phase spans) is never pickled, and the decision tracer
+  (an open file) is dropped by the ``__getstate__`` hooks of
+  :class:`~repro.core.ledger.CostLedger` and
+  :class:`~repro.algorithms.base.Policy` and re-attached by the restoring
+  engine.  A restore rebases the meter on the restored totals, so
+  exposition counters are *at-least-once* under recovery (replayed work
+  counts twice), exactly like Prometheus counters across a process
+  restart, and identical on every backend; the determinism surface is the
+  ledger and the trace stream, both of which roll back.
 * The **immutable substrate** (the instance's read-only weight arrays)
   *is* pickled — it is small — but the restoring engine re-points the
   cache and policy at its own instance so memory stays shared across

@@ -9,7 +9,8 @@ Profilers are single-writer: the service profiler is driven by the
 submitting thread, each shard engine's by its worker thread.  Reading
 :meth:`stats` from another thread during a run is safe — values are plain
 floats updated under the GIL, and a torn read merely mixes two adjacent
-batches.  :meth:`merge` folds per-shard profilers into a run-level view.
+batches.  :func:`merge_span_stats` folds per-shard stats into a run-level
+view.
 """
 
 from __future__ import annotations
@@ -142,25 +143,6 @@ class PhaseProfiler:
             name: SpanStats(name, cell[0], cell[1], cell[2], cell[3], cell[4])
             for name, cell in self._cells.items()
         }
-
-    def merge(self, other: "PhaseProfiler") -> None:
-        """Fold another profiler's accumulators into this one."""
-        for name, cell in other._cells.items():
-            mine = self._cells.get(name)
-            if mine is None:
-                self._cells[name] = list(cell)
-            else:
-                mine[0] += cell[0]
-                mine[1] += cell[1]
-                if cell[2] > mine[2]:
-                    mine[2] = cell[2]
-                if cell[3] < mine[3]:
-                    mine[3] = cell[3]
-                mine[4] += cell[4]
-
-    def clear(self) -> None:
-        """Drop all accumulated stats (spans stay usable)."""
-        self._cells.clear()
 
     def __repr__(self) -> str:
         parts = ", ".join(

@@ -63,7 +63,9 @@ from repro.service.metrics import (
     LatencyHistogram,
     ServiceLedger,
     ServiceSnapshot,
+    ShardMeter,
     ShardSnapshot,
+    ShardTotals,
 )
 from repro.service.profiles import PROFILE_KINDS, RateProfile
 from repro.service.router import ShardRouter
@@ -82,7 +84,9 @@ __all__ = [
     "LatencyHistogram",
     "ServiceLedger",
     "ServiceSnapshot",
+    "ShardMeter",
     "ShardSnapshot",
+    "ShardTotals",
     "ShardRouter",
     "PagingService",
 ]

@@ -1,38 +1,39 @@
-"""Observability for the paging service.
-
-Four layers, all backed by :mod:`repro.obs`:
+"""Observability for the paging service, backed by :mod:`repro.obs`:
 
 * :class:`ServiceLedger` — a :class:`~repro.core.ledger.CostLedger` that
-  additionally buckets eviction counts and cost per level and mirrors them
-  into a metrics registry (``repro_evictions_total`` /
-  ``repro_eviction_cost_total``, labeled by shard and level).
-* :class:`LatencyHistogram` — a bounded window of recent batch service
-  times; percentiles are computed over the window at snapshot time, and
-  each observation can feed a registry histogram for exposition.
+  also counts the shard's requests and batches and buckets evictions and
+  cost per level; :class:`ShardTotals` is its absolute totals at one batch
+  boundary (what a process-backed worker acks).
+* :class:`ShardMeter` — the one place a shard batch is counted and timed:
+  the shard-labeled exposition families, a :class:`LatencyHistogram`
+  window of recent batch times and the phase profiler.
 * :class:`ShardSnapshot` / :class:`ServiceSnapshot` — immutable point-in-time
   views rendered through the repo-standard :class:`~repro.analysis.Table`,
-  now carrying per-phase :class:`~repro.obs.SpanStats` from the profilers.
+  carrying per-phase :class:`~repro.obs.SpanStats` from the profilers.
 
 All counters are monotonic over the service's lifetime; snapshots are cheap
 (one dict copy per shard) and safe to take while the service is running
 because engines only ever *add* to their ledgers.  Pass no registry (the
-default) and every metrics call hits the shared no-op sink.
+default) and the meters skip the exposition families altogether.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.analysis.tables import Table
 from repro.core.ledger import CostLedger
-from repro.obs.registry import NULL_METRIC, MetricsRegistry, null_registry
-from repro.obs.spans import SpanStats, merge_span_stats
+from repro.obs.registry import MetricsRegistry, null_registry
+from repro.obs.spans import PhaseProfiler, SpanStats, merge_span_stats
 
 __all__ = [
     "ServiceLedger",
+    "ShardTotals",
+    "ShardMeter",
     "LatencyHistogram",
     "ShardSnapshot",
     "ServiceSnapshot",
@@ -43,53 +44,30 @@ LATENCY_WINDOW = 4096
 
 
 class ServiceLedger(CostLedger):
-    """Cost ledger with per-level eviction breakdowns for serving metrics.
+    """Cost ledger of one shard engine: per-level eviction breakdowns plus
+    the shard's request count (its logical clock) and batch count."""
 
-    When constructed with a real :class:`~repro.obs.MetricsRegistry`, each
-    eviction also increments the shard/level-labeled exposition counters;
-    with the default null registry those calls are no-ops.
-    """
+    __slots__ = ("cost_by_level", "evictions_by_level", "n_requests",
+                 "n_batches")
 
-    __slots__ = ("cost_by_level", "evictions_by_level", "_shard",
-                 "_m_evictions", "_m_cost", "_level_children")
-
-    def __init__(self, *, record_events: bool = False,
-                 registry: MetricsRegistry | None = None,
-                 shard: int | str = "") -> None:
+    def __init__(self, *, record_events: bool = False) -> None:
         super().__init__(record_events=record_events)
         self.cost_by_level: dict[int, float] = {}
         self.evictions_by_level: dict[int, int] = {}
-        reg = registry if registry is not None else null_registry()
-        self._shard = str(shard)
-        self._m_evictions = reg.counter(
-            "repro_evictions_total", "Evictions charged to this ledger",
-            ("shard", "level"),
-        )
-        self._m_cost = reg.counter(
-            "repro_eviction_cost_total",
-            "Total eviction cost (the paper's objective)",
-            ("shard", "level"),
-        )
-        # level -> (evictions child, cost child); caches the labels() lookup
-        # so the per-eviction registry work is one dict hit + two incs.
-        self._level_children: dict[int, tuple] = {}
+        self.n_requests = 0
+        self.n_batches = 0
 
     def charge_eviction(self, page: int, level: int, cost: float,
                         reason: str = "") -> None:
         super().charge_eviction(page, level, cost, reason)
         self.cost_by_level[level] = self.cost_by_level.get(level, 0.0) + cost
         self.evictions_by_level[level] = self.evictions_by_level.get(level, 0) + 1
-        if self._m_evictions is NULL_METRIC and self._m_cost is NULL_METRIC:
-            return  # no exposition sink: skip the per-level child lookups
-        children = self._children(level)
-        children[0].inc()
-        children[1].inc(cost)
 
     def charge_evictions(
             self, events: Sequence[tuple[int, int, float, str]]) -> None:
         """Batch form of :meth:`charge_eviction`, bit-identical to one
         call per event (see :meth:`CostLedger.charge_evictions`), per-level
-        dicts and registry children included."""
+        dicts included."""
         before = self.n_evictions
         try:
             super().charge_evictions(events)
@@ -101,92 +79,58 @@ class ServiceLedger(CostLedger):
                 events = events[:charged]
             cost_by_level = self.cost_by_level
             evictions_by_level = self.evictions_by_level
-            live = not (self._m_evictions is NULL_METRIC
-                        and self._m_cost is NULL_METRIC)
             for _page, level, cost, _reason in events:
                 cost_by_level[level] = cost_by_level.get(level, 0.0) + cost
                 evictions_by_level[level] = evictions_by_level.get(level, 0) + 1
-                if live:
-                    children = self._children(level)
-                    children[0].inc()
-                    children[1].inc(cost)
 
-    def _children(self, level: int) -> tuple:
-        """The (evictions, cost) registry children for ``level``."""
-        children = self._level_children.get(level)
-        if children is None:
-            lv = str(level)
-            children = (self._m_evictions.labels(self._shard, lv),
-                        self._m_cost.labels(self._shard, lv))
-            self._level_children[level] = children
-        return children
 
-    def __getstate__(self) -> dict:
-        """Drop the registry handles: families hold locks, children are
-        process-local exposition state.  A restored ledger starts on the
-        no-op sink; the restoring engine transplants its live handles (see
-        :meth:`repro.service.engine.ShardEngine.restore_state`)."""
-        state = super().__getstate__()
-        for name in ("_m_evictions", "_m_cost", "_level_children"):
-            state.pop(name, None)
-        return state
+class ShardTotals(NamedTuple):
+    """A shard's absolute ledger totals at one batch boundary.
 
-    def __setstate__(self, state: dict) -> None:
-        super().__setstate__(state)
-        self._m_evictions = NULL_METRIC
-        self._m_cost = NULL_METRIC
-        self._level_children = {}
+    What a process-backed worker acks after every batch and restore, and
+    the parent's mirror of that worker's ledger.  The attribute names are
+    :class:`ServiceLedger`'s, so a :class:`ShardMeter`, a snapshot or a
+    request-trace span reads either one the same way.
+    """
 
-    def merge(self, other: CostLedger) -> None:
-        """Fold another ledger into this one, keeping per-level totals.
+    n_requests: int
+    n_batches: int
+    n_hits: int
+    n_misses: int
+    n_evictions: int
+    eviction_cost: float
+    cost_by_level: dict[int, float]
+    evictions_by_level: dict[int, int]
 
-        :meth:`CostLedger.merge` only knows the base counters; merging
-        shard ledgers through it would silently drop ``cost_by_level`` /
-        ``evictions_by_level``, so the per-level dicts are folded here.
-        Exposition counters are *not* re-charged — the source ledger
-        already published its evictions to the registry.
-        """
-        super().merge(other)
-        if isinstance(other, ServiceLedger):
-            for level, cost in other.cost_by_level.items():
-                self.cost_by_level[level] = (
-                    self.cost_by_level.get(level, 0.0) + cost
-                )
-            for level, n in other.evictions_by_level.items():
-                self.evictions_by_level[level] = (
-                    self.evictions_by_level.get(level, 0) + n
-                )
+    @classmethod
+    def of(cls, ledger) -> "ShardTotals":
+        """A copy of ``ledger``'s totals, per-level dicts included."""
+        return cls(ledger.n_requests, ledger.n_batches, ledger.n_hits,
+                   ledger.n_misses, ledger.n_evictions, ledger.eviction_cost,
+                   dict(ledger.cost_by_level),
+                   dict(ledger.evictions_by_level))
 
 
 class LatencyHistogram:
     """Bounded ring of recent observations (seconds) with percentile queries.
 
-    The window keeps the most recent ``window`` observations; the total
-    count and sum are monotonic so mean throughput can still be derived
-    after old samples rotate out.  ``metric`` (a registry histogram child)
-    additionally receives every observation for exposition; the default is
-    the shared no-op sink.
+    The window keeps the most recent ``window`` observations.  It is not a
+    copy of the registry's ``repro_batch_latency_seconds`` histogram: that
+    one's buckets start at 0.5 ms, above a typical shard batch, so only
+    the raw window gives exact snapshot percentiles.
     """
 
-    __slots__ = ("_window", "_samples", "_pos", "count", "total_seconds",
-                 "_metric")
+    __slots__ = ("_window", "_samples", "_pos")
 
-    def __init__(self, window: int = LATENCY_WINDOW, *,
-                 metric=NULL_METRIC) -> None:
+    def __init__(self, window: int = LATENCY_WINDOW) -> None:
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         self._window = window
         self._samples: list[float] = []
         self._pos = 0
-        self.count = 0
-        self.total_seconds = 0.0
-        self._metric = metric
 
     def observe(self, seconds: float) -> None:
         """Record one service-time observation."""
-        self.count += 1
-        self.total_seconds += seconds
-        self._metric.observe(seconds)
         if len(self._samples) < self._window:
             self._samples.append(seconds)
         else:
@@ -286,6 +230,141 @@ class ShardSnapshot:
                 for name, s in self.spans.items()
             },
         }
+
+
+class ShardMeter:
+    """The one place a shard batch is counted and timed.
+
+    Both engine backends call :meth:`batch` once per served batch with the
+    shard's *absolute* totals (the in-process :class:`ServiceLedger`, or
+    the :class:`ShardTotals` a worker acks) and :meth:`rebase` after any
+    restore or install.  Each exposition counter moves by the difference of
+    totals since the last call, so ``/metrics`` reads the same on every
+    backend: a restored or installed history counts nothing, and batches
+    replayed after a restore count again (*at-least-once*, like Prometheus
+    counters across a process restart).  The meter also owns the shard's
+    latency window and :class:`~repro.obs.PhaseProfiler` (one ``evict``
+    span per batch) and builds its :class:`ShardSnapshot`; it is never
+    checkpoint state.  With no registry :meth:`batch` skips the counters.
+    """
+
+    __slots__ = ("shard_id", "latency", "profiler", "_live", "_m_requests",
+                 "_m_hits", "_m_misses", "_m_batches", "_m_latency",
+                 "_f_evictions", "_f_cost", "_children", "_n_requests",
+                 "_n_batches", "_n_hits", "_n_misses", "_evictions_base",
+                 "_cost_base")
+
+    def __init__(self, shard_id: int,
+                 registry: MetricsRegistry | None = None) -> None:
+        reg = registry if registry is not None else null_registry()
+        label = str(shard_id)
+        self.shard_id = shard_id
+        self.latency = LatencyHistogram()
+        self.profiler = PhaseProfiler()
+        self._live = reg is not null_registry()
+        self._m_requests = reg.counter(
+            "repro_requests_total", "Requests served", ("shard",)
+        ).labels(label)
+        self._m_hits = reg.counter(
+            "repro_hits_total", "Requests served without cache changes",
+            ("shard",),
+        ).labels(label)
+        self._m_misses = reg.counter(
+            "repro_misses_total", "Requests that required cache changes",
+            ("shard",),
+        ).labels(label)
+        self._m_batches = reg.counter(
+            "repro_batches_total", "Micro-batches processed", ("shard",)
+        ).labels(label)
+        self._m_latency = reg.histogram(
+            "repro_batch_latency_seconds", "Batch service time per shard",
+            ("shard",),
+        ).labels(label)
+        self._f_evictions = reg.counter(
+            "repro_evictions_total", "Evictions charged to this ledger",
+            ("shard", "level"),
+        )
+        self._f_cost = reg.counter(
+            "repro_eviction_cost_total",
+            "Total eviction cost (the paper's objective)",
+            ("shard", "level"),
+        )
+        # level -> (evictions child, cost child), made at the level's
+        # first counted eviction, as a scrape would first see it.
+        self._children: dict[int, tuple] = {}
+        self._n_requests = self._n_batches = 0
+        self._n_hits = self._n_misses = 0
+        self._evictions_base: dict[int, int] = {}
+        self._cost_base: dict[int, float] = {}
+
+    def batch(self, totals, elapsed: float) -> None:
+        """Count and time one served batch; ``totals`` are absolute."""
+        if self._live:
+            self._count(totals)
+            self._m_latency.observe(elapsed)
+        self.profiler.record("evict", elapsed)
+        self.latency.observe(elapsed)
+
+    def rebase(self, totals) -> None:
+        """Take ``totals`` (just restored or installed) as the new
+        baseline, counting nothing."""
+        if self._live:
+            self._n_requests = totals.n_requests
+            self._n_batches = totals.n_batches
+            self._n_hits = totals.n_hits
+            self._n_misses = totals.n_misses
+            self._evictions_base = dict(totals.evictions_by_level)
+            self._cost_base = dict(totals.cost_by_level)
+
+    def _count(self, totals) -> None:
+        self._m_requests.inc(totals.n_requests - self._n_requests)
+        self._m_hits.inc(totals.n_hits - self._n_hits)
+        self._m_misses.inc(totals.n_misses - self._n_misses)
+        self._m_batches.inc(totals.n_batches - self._n_batches)
+        self._n_requests = totals.n_requests
+        self._n_batches = totals.n_batches
+        self._n_hits = totals.n_hits
+        self._n_misses = totals.n_misses
+        evictions_base, cost_base = self._evictions_base, self._cost_base
+        cost_by_level = totals.cost_by_level
+        for level, n in totals.evictions_by_level.items():
+            new = n - evictions_base.get(level, 0)
+            if not new:
+                continue
+            children = self._children.get(level)
+            if children is None:
+                lv = str(level)
+                children = self._children[level] = (
+                    self._f_evictions.labels(str(self.shard_id), lv),
+                    self._f_cost.labels(str(self.shard_id), lv),
+                )
+            cost = cost_by_level[level]
+            children[0].inc(new)
+            children[1].inc(cost - cost_base.get(level, 0.0))
+            evictions_base[level] = n
+            cost_base[level] = cost
+
+    def snapshot(self, totals, cache_size: int,
+                 queue_depth: int = 0) -> ShardSnapshot:
+        """Point-in-time counters from ``totals`` plus this meter's timings."""
+        p50, p95, p99 = self.latency.percentiles_ms()
+        return ShardSnapshot(
+            shard=self.shard_id,
+            cache_size=cache_size,
+            n_requests=totals.n_requests,
+            n_hits=totals.n_hits,
+            n_misses=totals.n_misses,
+            n_evictions=totals.n_evictions,
+            eviction_cost=totals.eviction_cost,
+            cost_by_level=dict(totals.cost_by_level),
+            evictions_by_level=dict(totals.evictions_by_level),
+            n_batches=totals.n_batches,
+            queue_depth=queue_depth,
+            p50_ms=p50,
+            p95_ms=p95,
+            p99_ms=p99,
+            spans=self.profiler.stats(),
+        )
 
 
 @dataclass(frozen=True)

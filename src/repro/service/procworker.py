@@ -16,22 +16,25 @@ moves each engine into its own **spawned** process:
 * :class:`ProcEngine` — the parent-side handle.  It mimics exactly the
   slice of the ``ShardEngine`` interface the service uses
   (``process_batch``, ``capture_state`` / ``restore_from``, ``snapshot``,
-  ``ledger``, ``n_requests``, ``profiler``), so
+  ``ledger``, ``n_requests``, ``meter``), so
   :class:`~repro.service.server.PagingService`, the supervisor and
   :class:`~repro.faults.ShardCheckpoint` drive both backends through one
   code path.
 
 Determinism and observability
 -----------------------------
-Every batch ack carries the child ledger's **absolute totals** (hits,
-misses, evictions, cost, per-level breakdowns) — not deltas — so the
-parent-side mirror ledger is bit-exact at every batch boundary and
-``total_cost()`` / ledger-equality assertions hold across backends.
-Registry counters are advanced by the non-negative per-ack differences
-(under recovery a restore rolls the totals back and replayed work counts
-again — *at-least-once*, the standard Prometheus-counter-across-restart
-semantics), so ``/metrics`` exposes the same families with the same
-labels as the thread backend.
+Every batch ack carries the child ledger's **absolute totals** as a
+:class:`~repro.service.metrics.ShardTotals` (requests, batches, hits,
+misses, evictions, cost, per-level breakdowns) — not deltas — and the
+parent keeps the last one as its ``ledger``, so the mirror is bit-exact at
+every batch boundary and ``total_cost()`` / ledger-equality assertions
+hold across backends.  The acked totals feed the same
+:class:`~repro.service.metrics.ShardMeter` the in-process engine feeds its
+ledger, and a restore ack rebases it, so ``/metrics``, the latency window
+and the phase spans come from one code path on every backend: the same
+families, labels and values as the thread backend, with replayed work
+counted again after a restore (*at-least-once*, the standard
+Prometheus-counter-across-restart semantics).
 
 Tracing lives in the child: the worker owns the per-shard JSONL file and
 its engine tracer, keyed to the shard's logical clock, so traces remain
@@ -62,11 +65,10 @@ import numpy as np
 
 from repro.core.instance import MultiLevelInstance
 from repro.errors import ServiceStateError, WorkerDiedError
-from repro.obs.registry import MetricsRegistry, null_registry
-from repro.obs.spans import PhaseProfiler
+from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import DecisionTracer
 from repro.service.engine import ShardEngine
-from repro.service.metrics import LatencyHistogram, ShardSnapshot
+from repro.service.metrics import ShardMeter, ShardSnapshot, ShardTotals
 
 __all__ = ["WorkerSpec", "ProcEngine"]
 
@@ -89,21 +91,6 @@ class WorkerSpec:
     trace: tuple | None = None
     #: True on respawn: re-open the trace file without a new meta line.
     trace_resume: bool = False
-
-
-def _totals(engine: ShardEngine) -> tuple:
-    """The child ledger's absolute totals, as shipped in every ack."""
-    ledger = engine.ledger
-    return (
-        engine.n_requests,
-        engine.n_batches,
-        ledger.n_hits,
-        ledger.n_misses,
-        ledger.n_evictions,
-        ledger.eviction_cost,
-        dict(ledger.cost_by_level),
-        dict(ledger.evictions_by_level),
-    )
 
 
 def _child_main(conn, spec: WorkerSpec) -> None:
@@ -137,16 +124,14 @@ def _child_main(conn, spec: WorkerSpec) -> None:
                 except BaseException as exc:  # ship it; stay up for restore
                     conn.send(("error", exc))
                 else:
-                    conn.send(
-                        ("ack",) + _totals(engine)
-                        + (perf_counter() - started,)
-                    )
+                    conn.send(("ack", ShardTotals.of(engine.ledger),
+                               perf_counter() - started))
             elif kind == "checkpoint":
                 payload, mark, t = engine.capture_state()
                 conn.send(("ckpt", payload, mark, t))
             elif kind == "restore":
                 engine.restore_from(op[1], op[2])
-                conn.send(("restored",) + _totals(engine))
+                conn.send(("restored", ShardTotals.of(engine.ledger)))
             elif kind == "stop":
                 conn.send(("stopped",))
                 return
@@ -156,26 +141,6 @@ def _child_main(conn, spec: WorkerSpec) -> None:
         if tracer is not None:
             tracer.close()
         conn.close()
-
-
-class _MirrorLedger:
-    """Parent-side mirror of a child engine's ledger (absolute totals).
-
-    Written only from acks (exact at every batch boundary), read by
-    snapshots and ``total_cost()`` — the same benign-torn-read contract
-    as the in-process ledgers.
-    """
-
-    __slots__ = ("n_hits", "n_misses", "n_evictions", "eviction_cost",
-                 "cost_by_level", "evictions_by_level")
-
-    def __init__(self) -> None:
-        self.n_hits = 0
-        self.n_misses = 0
-        self.n_evictions = 0
-        self.eviction_cost = 0.0
-        self.cost_by_level: dict[int, float] = {}
-        self.evictions_by_level: dict[int, int] = {}
 
 
 class ProcEngine:
@@ -197,19 +162,11 @@ class ProcEngine:
         validate: bool = False,
         registry: MetricsRegistry | None = None,
     ) -> None:
-        reg = registry if registry is not None else null_registry()
-        shard_label = str(shard_id)
         self.shard_id = shard_id
         self.instance = instance
-        self.ledger = _MirrorLedger()
-        self.profiler = PhaseProfiler()
-        self.latency = LatencyHistogram(
-            metric=reg.histogram(
-                "repro_batch_latency_seconds",
-                "Batch service time per shard",
-                ("shard",),
-            ).labels(shard_label),
-        )
+        #: The worker ledger's totals as of the last ack.
+        self.ledger = ShardTotals(0, 0, 0, 0, 0, 0.0, {}, {})
+        self.meter = ShardMeter(shard_id, registry)
         self._spec = WorkerSpec(
             shard_id=shard_id,
             instance=instance,
@@ -217,37 +174,9 @@ class ProcEngine:
             rng_seed=rng_seed,
             validate=validate,
         )
-        self._t = 0
-        self.n_batches = 0
         self._ctx = mp.get_context("spawn")
         self._proc = None
         self._conn = None
-        # Same exposition families as ShardEngine + ServiceLedger, advanced
-        # by per-ack diffs so /metrics reads identically across backends.
-        self._m_requests = reg.counter(
-            "repro_requests_total", "Requests served", ("shard",)
-        ).labels(shard_label)
-        self._m_hits = reg.counter(
-            "repro_hits_total", "Requests served without cache changes",
-            ("shard",),
-        ).labels(shard_label)
-        self._m_misses = reg.counter(
-            "repro_misses_total", "Requests that required cache changes",
-            ("shard",),
-        ).labels(shard_label)
-        self._m_batches = reg.counter(
-            "repro_batches_total", "Micro-batches processed", ("shard",)
-        ).labels(shard_label)
-        self._f_evictions = reg.counter(
-            "repro_evictions_total", "Evictions charged to this ledger",
-            ("shard", "level"),
-        )
-        self._f_cost = reg.counter(
-            "repro_eviction_cost_total",
-            "Total eviction cost (the paper's objective)",
-            ("shard", "level"),
-        )
-        self._level_children: dict[int, tuple] = {}
 
     # -- lifecycle ---------------------------------------------------------
     @property
@@ -331,18 +260,7 @@ class ProcEngine:
     @property
     def n_requests(self) -> int:
         """Requests acked by the worker so far (the mirrored logical clock)."""
-        return self._t
-
-    def totals(self) -> tuple[int, float]:
-        """``(n_evictions, eviction_cost)`` from the mirrored totals.
-
-        Acks carry the child ledger's *absolute* values, so at every
-        batch boundary this answer is bit-identical to the in-process
-        :meth:`ShardEngine.totals` — which is what keeps request-trace
-        ``evict`` spans byte-identical across backends.
-        """
-        mirror = self.ledger
-        return mirror.n_evictions, mirror.eviction_cost
+        return self.ledger.n_requests
 
     def _roundtrip(self, op: tuple) -> tuple:
         conn = self._conn
@@ -362,45 +280,9 @@ class ProcEngine:
         return msg
 
     def process_batch(self, pages: np.ndarray, levels: np.ndarray) -> None:
-        """Ship one micro-batch to the worker and fold its ack into the mirror."""
-        msg = self._roundtrip(("batch", pages, levels))
-        self._apply_totals(msg[1:9])
-        elapsed = msg[9]
-        self.latency.observe(elapsed)
-        self.profiler.record("evict", elapsed)
-
-    def _apply_totals(self, totals: tuple) -> None:
-        (t, n_batches, hits, misses, n_ev, cost, cost_by_level,
-         evictions_by_level) = totals
-        mirror = self.ledger
-        # Exposition counters move by the non-negative diff: a restore
-        # rolls totals back (diff would be negative -> no-op) and replay
-        # counts again, the at-least-once counter contract.
-        self._m_requests.inc(max(0, t - self._t))
-        self._m_hits.inc(max(0, hits - mirror.n_hits))
-        self._m_misses.inc(max(0, misses - mirror.n_misses))
-        self._m_batches.inc(max(0, n_batches - self.n_batches))
-        for level, n in evictions_by_level.items():
-            children = self._level_children.get(level)
-            if children is None:
-                lv = str(level)
-                children = (
-                    self._f_evictions.labels(str(self.shard_id), lv),
-                    self._f_cost.labels(str(self.shard_id), lv),
-                )
-                self._level_children[level] = children
-            children[0].inc(max(0, n - mirror.evictions_by_level.get(level, 0)))
-            children[1].inc(max(
-                0.0, cost_by_level[level] - mirror.cost_by_level.get(level, 0.0)
-            ))
-        mirror.n_hits = hits
-        mirror.n_misses = misses
-        mirror.n_evictions = n_ev
-        mirror.eviction_cost = cost
-        mirror.cost_by_level = cost_by_level
-        mirror.evictions_by_level = evictions_by_level
-        self._t = t
-        self.n_batches = n_batches
+        """Ship one micro-batch to the worker and meter its acked totals."""
+        _, self.ledger, elapsed = self._roundtrip(("batch", pages, levels))
+        self.meter.batch(self.ledger, elapsed)
 
     # -- checkpoint support --------------------------------------------------
     def capture_state(self) -> tuple[bytes, tuple | None, int]:
@@ -412,35 +294,19 @@ class ProcEngine:
         """Install a checkpoint payload, respawning a dead worker first."""
         if not self.running:
             self._launch(resume=self._spec.trace is not None)
-        msg = self._roundtrip(("restore", payload, trace_mark))
-        self._apply_totals(msg[1:9])
+        self.ledger = self._roundtrip(("restore", payload, trace_mark))[1]
+        self.meter.rebase(self.ledger)
 
     # -- observability -------------------------------------------------------
     def snapshot(self, *, queue_depth: int = 0) -> ShardSnapshot:
-        """Point-in-time counters from the parent-side mirror."""
-        mirror = self.ledger
-        p50, p95, p99 = self.latency.percentiles_ms()
-        return ShardSnapshot(
-            shard=self.shard_id,
-            cache_size=self.instance.cache_size,
-            n_requests=self._t,
-            n_hits=mirror.n_hits,
-            n_misses=mirror.n_misses,
-            n_evictions=mirror.n_evictions,
-            eviction_cost=mirror.eviction_cost,
-            cost_by_level=dict(mirror.cost_by_level),
-            evictions_by_level=dict(mirror.evictions_by_level),
-            n_batches=self.n_batches,
-            queue_depth=queue_depth,
-            p50_ms=p50,
-            p95_ms=p95,
-            p99_ms=p99,
-            spans=self.profiler.stats(),
-        )
+        """Point-in-time counters from the acked totals."""
+        return self.meter.snapshot(self.ledger, self.instance.cache_size,
+                                   queue_depth)
 
     def __repr__(self) -> str:
         state = "alive" if self.running else "down"
         return (
-            f"ProcEngine(shard={self.shard_id}, {state}, served={self._t}, "
+            f"ProcEngine(shard={self.shard_id}, {state}, "
+            f"served={self.n_requests}, "
             f"cost={self.ledger.eviction_cost:.3f})"
         )

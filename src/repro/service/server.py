@@ -597,8 +597,8 @@ class PagingService:
         """Serve one shard slice, emitting shard-tier spans when sampled.
 
         The ``batch``/``evict`` spans are computed from before/after
-        eviction totals (:meth:`ShardEngine.totals`), which the process
-        backend mirrors bit-exactly from its worker acks — so the shard
+        eviction totals (``engine.ledger``), which the process backend
+        mirrors bit-exactly from its worker acks — so the shard
         span files are byte-identical across inline/thread/process
         backends for the same seed.  Recovery replay re-emits a replayed
         slice's spans; their ids are deterministic, so stitching dedups
@@ -607,15 +607,15 @@ class PagingService:
         if ctx is None or not ctx.sampled or not self._rtrace:
             engine.process_batch(pages, levels)
             return
-        ev0, cost0 = engine.totals()
+        ev0, cost0 = engine.ledger.n_evictions, engine.ledger.eviction_cost
         engine.process_batch(pages, levels)
-        ev1, cost1 = engine.totals()
+        ledger = engine.ledger
         exp = self._shard_spans[shard]
         batch = exp.emit(ctx, "batch", tier="shard", t=t,
                          attrs={"shard": shard, "n_requests": int(pages.size)})
         exp.emit(batch, "evict", tier="shard", t=t,
-                 attrs={"shard": shard, "n_evictions": ev1 - ev0,
-                        "cost": cost1 - cost0})
+                 attrs={"shard": shard, "n_evictions": ledger.n_evictions - ev0,
+                        "cost": ledger.eviction_cost - cost0})
 
     def _complete_part(self, part: _Part,
                        error: BaseException | None = None) -> None:
@@ -642,7 +642,7 @@ class PagingService:
     def _take_checkpoint(self, state: _ShardState, engine: ShardEngine) -> None:
         started = perf_counter()
         state.checkpoint = ShardCheckpoint.capture(engine, seq=state.applied_seq)
-        engine.profiler.record("checkpoint", perf_counter() - started)
+        engine.meter.profiler.record("checkpoint", perf_counter() - started)
         state.since_checkpoint = 0
         state.n_checkpoints += 1
         self._m_checkpoints.labels(str(state.shard)).inc()
@@ -662,7 +662,7 @@ class PagingService:
             pending = [p for p in state.log if p.seq > ckpt.seq]
         started = perf_counter()
         ckpt.restore(engine)
-        engine.profiler.record("restore", perf_counter() - started)
+        engine.meter.profiler.record("restore", perf_counter() - started)
         state.applied_seq = ckpt.seq
         state.since_checkpoint = 0
         state.n_restores += 1
@@ -681,7 +681,7 @@ class PagingService:
                 state.n_replayed += 1
                 self._m_replayed.labels(str(state.shard)).inc()
         finally:
-            engine.profiler.record("replay", perf_counter() - started)
+            engine.meter.profiler.record("replay", perf_counter() - started)
 
     def _on_worker_death(self, state: _ShardState, exc: BaseException) -> None:
         # Postmortem first: the flight recorder's span rings still hold

@@ -30,7 +30,7 @@ from repro.core.ledger import CostLedger
 from repro.core.requests import RequestSequence
 from repro.errors import CacheInvariantError
 from repro.obs import MetricsRegistry
-from repro.service import ServiceLedger, ShardEngine
+from repro.service import ShardEngine
 from repro.sim import simulate
 from repro.workloads import (
     multilevel_stream,
@@ -164,10 +164,11 @@ class TestServeBatchChunks:
             assert hits == oracle.n_hits
 
 
-def _eviction_metrics(registry):
-    collected = registry.collect()
-    return {name: collected[name] for name in
-            ("repro_evictions_total", "repro_eviction_cost_total")}
+def _counters(registry):
+    """Every shard counter family; the latency histogram's sum is
+    wall-clock, so it is left out."""
+    return {name: children for name, children in registry.collect().items()
+            if name != "repro_batch_latency_seconds"}
 
 
 def _ledger_fields(ledger, registry):
@@ -178,47 +179,39 @@ def _ledger_fields(ledger, registry):
         "cost_by_reason": ledger.cost_by_reason,
         "cost_by_level": ledger.cost_by_level,
         "evictions_by_level": ledger.evictions_by_level,
-        "registry": _eviction_metrics(registry),
+        "registry": _counters(registry),
     }
 
 
 class TestProductionLedgerPath:
-    """The serving path: batches settle into a non-recording
-    ``ServiceLedger`` under a live registry, never via per-event charges."""
+    """The serving path: ``ShardEngine`` batches settle into a
+    non-recording ``ServiceLedger``, metered into a live registry, never
+    via per-event charges."""
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=15, deadline=None)
     def test_random_chunks_match_scan_oracle(self, seed):
         rng = np.random.default_rng(seed)
         inst, seq = _random_case(rng, max_pages=60, max_len=600)
-        pages, levels = seq.pages.tolist(), seq.levels.tolist()
         for kernel_cls, *_, oracle_cls in FAMILIES:
             k_reg, o_reg = MetricsRegistry(), MetricsRegistry()
-            kernel = kernel_cls()
-            kernel.bind(inst, MultiLevelCache(
-                inst, ServiceLedger(registry=k_reg, shard=0)),
-                np.random.default_rng(0))
-            k_hits, t = 0, 0
+            kernel = ShardEngine(0, inst, kernel_cls(),
+                                 np.random.default_rng(0), registry=k_reg)
+            oracle = ShardEngine(0, inst, oracle_cls(),
+                                 np.random.default_rng(0), registry=o_reg)
+            t = 0
             while t < len(seq):
                 chunk = int(rng.integers(1, 65))
-                k_hits += kernel.serve_batch(
-                    t, seq.pages[t:t + chunk], seq.levels[t:t + chunk])
-                assert_heap_invariant(kernel)
+                for engine in (kernel, oracle):
+                    engine.process_batch(seq.pages[t:t + chunk],
+                                         seq.levels[t:t + chunk])
+                assert_heap_invariant(kernel.policy)
                 t += chunk
 
-            oracle = oracle_cls()
-            cache = MultiLevelCache(inst, ServiceLedger(registry=o_reg,
-                                                        shard=0))
-            oracle.bind(inst, cache, np.random.default_rng(0))
-            o_hits = 0
-            for t, (page, level) in enumerate(zip(pages, levels)):
-                o_hits += cache.serves(page, level)
-                oracle.serve(t, page, level)
-
-            assert _ledger_fields(kernel.cache.ledger, k_reg) == \
-                _ledger_fields(cache.ledger, o_reg)
-            assert k_hits == o_hits
-            assert dict(kernel.cache.items()) == dict(cache.items())
+            assert _ledger_fields(kernel.ledger, k_reg) == \
+                _ledger_fields(oracle.ledger, o_reg)
+            assert kernel.ledger.n_hits == oracle.ledger.n_hits
+            assert dict(kernel.cache.items()) == dict(oracle.cache.items())
 
 
 class TestHeapInvariant:

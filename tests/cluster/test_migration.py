@@ -8,7 +8,6 @@ ticket was dropped, duplicated, or served against stale state.
 """
 
 import threading
-import time
 
 import pytest
 
@@ -24,6 +23,7 @@ from repro.net import (
 )
 from repro.service import PagingService, ServiceConfig
 from repro.workloads import sample_weights, zipf_stream
+from tests.holding import wait_until
 
 N_PAGES = 64
 N_SHARDS = 4
@@ -86,13 +86,19 @@ class TestLiveMigration:
         addr2 = backends[1][1].address
         outcomes = []
 
+        def served():
+            return sum(e.n_requests for svc, _ in backends
+                       for e in svc.engines)
+
         def migrate_mid_run():
-            time.sleep(0.08)
             # Shard 0 genuinely moves (it starts on backend 1), then a
             # second migration brings it back — two epoch bumps while
-            # the stream is in flight.
+            # the stream is in flight, each once a fixed share is served.
+            wait_until(lambda: served() >= len(seq) // 4, timeout=30.0,
+                       what="a quarter of the stream served")
             outcomes.append(proxy.migrate(0, addr2))
-            time.sleep(0.05)
+            wait_until(lambda: served() >= len(seq) // 2, timeout=30.0,
+                       what="half of the stream served")
             outcomes.append(proxy.migrate(0, addr1))
 
         mover = threading.Thread(target=migrate_mid_run)

@@ -25,6 +25,7 @@ from repro.net import (
 from repro.obs import MetricsRegistry
 from repro.service import PagingService, ServiceConfig
 from repro.workloads import sample_weights, zipf_stream
+from tests.holding import wait_until
 
 N_PAGES = 64
 N_SHARDS = 4
@@ -115,10 +116,16 @@ class TestScaleCycleUnderLoad:
             max_backends=2, registry=registry)
         events = []
 
+        def served():
+            backends = [svc] + [s for s, _ in spawner.live.values()]
+            return sum(e.n_requests for s in backends for e in s.engines)
+
         def cycle():
-            time.sleep(0.08)
+            wait_until(lambda: served() >= len(seq) // 4, timeout=30.0,
+                       what="a quarter of the stream served")
             events.append(scaler.step())        # pressure 1.0 -> scale up
-            time.sleep(0.2)
+            wait_until(lambda: served() >= len(seq) // 2, timeout=30.0,
+                       what="half of the stream served")
             pressure[0] = 0.0
             deadline = time.monotonic() + 10.0
             while time.monotonic() < deadline:  # dwell gate, then down

@@ -186,19 +186,3 @@ class TestCostLedger:
         ledger.charge_eviction(3, 2, 1.5, "reset")
         (ev,) = ledger.events
         assert (ev.time, ev.page, ev.level, ev.cost, ev.reason) == (7, 3, 2, 1.5, "reset")
-
-    def test_merge(self):
-        a, b = CostLedger(), CostLedger()
-        a.charge_eviction(0, 1, 1.0, "x")
-        b.charge_eviction(1, 1, 2.0, "x")
-        b.count_hit()
-        a.merge(b)
-        assert a.eviction_cost == 3.0
-        assert a.cost_by_reason["x"] == 3.0
-        assert a.n_hits == 1
-
-    def test_snapshot_keys(self):
-        snap = CostLedger().snapshot()
-        assert set(snap) == {
-            "eviction_cost", "n_evictions", "n_fetches", "n_hits", "n_misses",
-        }

@@ -99,20 +99,21 @@ class TestSharedHandles:
 
         Metric families hold locks (pickling them would crash) and a
         restored shard must keep publishing to the exact counters a scrape
-        already saw — the pickle hooks drop the handles and the restoring
-        engine transplants its live ones.
+        already saw — the engine's meter holds the handles, outside the
+        pickled state.
         """
         registry = MetricsRegistry()
         engine = make_engine(registry=registry)
         seq = make_workload(600)
         engine.process_batch(seq.pages[:300], seq.levels[:300])
-        family = engine.ledger._m_evictions
+        family = registry.counter("repro_evictions_total", "",
+                                  ("shard", "level"))
         children_before = dict(family.children())
         ckpt = ShardCheckpoint.capture(engine)
         engine.process_batch(seq.pages[300:], seq.levels[300:])
         ckpt.restore(engine)
-        assert engine.ledger._m_evictions is family
-        for labels, child in engine.ledger._m_evictions.children().items():
+        assert engine.meter._f_evictions is family
+        for labels, child in family.children().items():
             if labels in children_before:
                 assert child is children_before[labels]
         # The restored ledger still publishes without error...

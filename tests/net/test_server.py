@@ -159,8 +159,9 @@ class TestAdmission:
                     second.ping()
                 assert err.value.code == "too_many_connections"
                 second.close()
-            # Slot released: a later connection is admitted again.
-            time.sleep(0.05)
+            # Slot released: a later connection is admitted again, once
+            # the loop has seen the first client's EOF.
+            wait_until(lambda: srv._gate.active == 0, what="slot released")
             with PagingClient(srv.address) as third:
                 third.ping()
         finally:

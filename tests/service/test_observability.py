@@ -1,4 +1,4 @@
-"""Observability wiring in the service: merge fidelity, latency windows,
+"""Observability wiring in the service: shard totals, latency windows,
 trace determinism across execution modes, exposition metrics, spans."""
 
 import urllib.request
@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 from repro.algorithms import WaterFillingPolicy
 from repro.core.instance import WeightedPagingInstance
 from repro.obs import MetricsRegistry, MetricsServer, validate_trace
-from repro.service import LatencyHistogram, PagingService, ServiceConfig, ServiceLedger
+from repro.service import (
+    LatencyHistogram,
+    PagingService,
+    ServiceConfig,
+    ShardMeter,
+    ShardTotals,
+)
 from repro.workloads import sample_weights, zipf_stream
 
 
@@ -25,45 +31,25 @@ def make_workload(n=32, length=3000):
 
 
 class TestServiceLedgerMerge:
-    """Regression: CostLedger.merge alone drops the per-level dicts."""
-
-    def test_merge_keeps_per_level_breakdowns(self):
-        a, b = ServiceLedger(), ServiceLedger()
-        a.charge_eviction(1, 1, 2.0, "capacity")
-        a.charge_eviction(2, 2, 3.0, "capacity")
-        b.charge_eviction(3, 1, 5.0, "capacity")
-        b.charge_eviction(4, 3, 7.0, "capacity")
-        a.merge(b)
-        assert a.eviction_cost == pytest.approx(17.0)
-        assert a.n_evictions == 4
-        assert a.cost_by_level == pytest.approx({1: 7.0, 2: 3.0, 3: 7.0})
-        assert a.evictions_by_level == {1: 2, 2: 1, 3: 1}
-        # The source ledger is untouched.
-        assert b.cost_by_level == pytest.approx({1: 5.0, 3: 7.0})
-
-    def test_merge_plain_cost_ledger_keeps_base_counters(self):
-        from repro.core.ledger import CostLedger
-
-        a, plain = ServiceLedger(), CostLedger()
-        a.charge_eviction(1, 1, 2.0)
-        plain.charge_eviction(2, 2, 3.0)
-        a.merge(plain)
-        assert a.eviction_cost == pytest.approx(5.0)
-        # A plain ledger has no per-level dicts to fold; a's stay as-is.
-        assert a.cost_by_level == pytest.approx({1: 2.0})
+    """Shard ledgers fold to the service snapshot's totals."""
 
     def test_shard_ledgers_merge_to_service_totals(self):
         seq = make_workload()
         svc = PagingService(make_config(n_shards=4))
         for lo in range(0, len(seq), 256):
             svc.submit_batch(seq.pages[lo:lo + 256], seq.levels[lo:lo + 256])
-        merged = ServiceLedger()
-        for engine in svc.engines:
-            merged.merge(engine.ledger)
+        ledgers = [engine.ledger for engine in svc.engines]
+        cost_by_level = {}
+        for ledger in ledgers:
+            for level, cost in ledger.cost_by_level.items():
+                cost_by_level[level] = cost_by_level.get(level, 0.0) + cost
         snap = svc.snapshot()
-        assert merged.eviction_cost == pytest.approx(snap.eviction_cost)
-        assert merged.cost_by_level == pytest.approx(snap.cost_by_level())
-        assert sum(merged.evictions_by_level.values()) == merged.n_evictions
+        assert sum(ledger.eviction_cost for ledger in ledgers) == \
+            pytest.approx(snap.eviction_cost)
+        assert cost_by_level == pytest.approx(snap.cost_by_level())
+        for ledger in ledgers:
+            assert sum(ledger.evictions_by_level.values()) == \
+                ledger.n_evictions
 
 
 class TestLatencyHistogramWindow:
@@ -79,8 +65,6 @@ class TestLatencyHistogramWindow:
             hist.observe(x)
         expected = xs[-window:] if xs else []
         assert sorted(hist._samples) == sorted(expected)
-        assert hist.count == len(xs)
-        assert hist.total_seconds == pytest.approx(sum(xs))
 
     def test_percentile_single_and_batch_agree(self):
         hist = LatencyHistogram(64)
@@ -104,14 +88,20 @@ class TestLatencyHistogramWindow:
             LatencyHistogram(0)
 
     def test_metric_child_receives_observations(self):
+        """A meter feeds each batch time to the registry histogram, the
+        window and the ``evict`` span alike."""
         reg = MetricsRegistry()
-        child = reg.histogram("repro_lat_seconds", "", ("shard",),
-                              buckets=(1.0,)).labels("0")
-        hist = LatencyHistogram(4, metric=child)
-        hist.observe(0.5)
-        hist.observe(2.0)
+        meter = ShardMeter(0, reg)
+        totals = ShardTotals(0, 0, 0, 0, 0, 0.0, {}, {})
+        meter.batch(totals, 0.5)
+        meter.batch(totals, 2.0)
+        child = reg.histogram("repro_batch_latency_seconds", "",
+                              ("shard",)).labels("0")
         assert child.count == 2
         assert child.sum == pytest.approx(2.5)
+        assert sorted(meter.latency._samples) == [0.5, 2.0]
+        evict = meter.profiler.stats()["evict"]
+        assert (evict.n, evict.total_s) == (2, pytest.approx(2.5))
 
 
 class TestTraceDeterminismAcrossModes:
