@@ -582,8 +582,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           "backend's --metrics-port page")
     top.add_argument("--interval", type=_POSITIVE, default=2.0, metavar="S",
                      help="seconds between refreshes")
-    top.add_argument("--iterations", type=_NONNEG_INT, default=0, metavar="N",
-                     help="stop after N refreshes (0 = until SIGINT)")
     top.add_argument("--once", action="store_true",
                      help="print one snapshot (no rate deltas) and exit")
     return parser
@@ -1450,9 +1448,9 @@ def _cmd_cluster_proxy(args) -> int:
                 args.parser.error(f"cluster proxy failed to start: {exc}")
             metrics_server = _start_metrics_server(args, registry)
             if args.federate_port is not None:
-                from repro.obs import FederationServer, Federator
+                from repro.obs import Federator, MetricsServer
 
-                federation_server = FederationServer(
+                federation_server = MetricsServer(
                     Federator(federation_targets, local_registry=registry),
                     port=args.federate_port).start()
                 print(f"federated metrics at {federation_server.url} "
@@ -1634,125 +1632,14 @@ def _cmd_replay_run(args) -> int:
     return 0
 
 
-def _top_value(families: dict, family: str, **labels) -> float:
-    """Sum of a family's samples whose labels include ``labels``."""
-    fam = families.get(family)
-    if fam is None:
-        return 0.0
-    want = set(labels.items())
-    return sum(value for sample_name, sample_labels, value in fam.samples
-               if sample_name == family and want <= set(sample_labels))
-
-
-def _top_histogram_quantile(families: dict, family: str, q: float,
-                            **labels) -> float:
-    """``q``-quantile (ms) from cumulative ``<family>_bucket`` samples.
-
-    Linear interpolation within the winning bucket, the standard
-    Prometheus ``histogram_quantile`` estimate; +Inf-bucket hits clamp
-    to the largest finite edge.
-    """
-    fam = families.get(family)
-    if fam is None:
-        return 0.0
-    want = set(labels.items())
-    buckets: dict[float, float] = {}
-    for sample_name, sample_labels, value in fam.samples:
-        if sample_name != f"{family}_bucket":
-            continue
-        label_map = dict(sample_labels)
-        le = label_map.pop("le", None)
-        if le is None or not want <= set(label_map.items()):
-            continue
-        edge = float("inf") if le in ("+Inf", "inf") else float(le)
-        buckets[edge] = buckets.get(edge, 0.0) + value
-    if not buckets:
-        return 0.0
-    edges = sorted(buckets)
-    total = buckets[edges[-1]]
-    if total <= 0:
-        return 0.0
-    rank = q * total
-    prev_edge, prev_count = 0.0, 0.0
-    for edge in edges:
-        count = buckets[edge]
-        if count >= rank:
-            if edge == float("inf"):
-                finite = [e for e in edges if e != float("inf")]
-                return 1e3 * (finite[-1] if finite else 0.0)
-            if count == prev_count:
-                return 1e3 * edge
-            frac = (rank - prev_count) / (count - prev_count)
-            return 1e3 * (prev_edge + frac * (edge - prev_edge))
-        prev_edge, prev_count = edge, count
-    return 1e3 * edges[-1]
-
-
-def _top_backends(families: dict) -> list[str]:
-    """Backend ids present in the page, excluding synthetic aggregates."""
-    ids: list[str] = []
-    for family in ("repro_federation_up", "repro_requests_total"):
-        fam = families.get(family)
-        if fam is None:
-            continue
-        for _name, sample_labels, _value in fam.samples:
-            for key, value in sample_labels:
-                if (key == "backend" and value not in ("all", "max", "proxy")
-                        and value not in ids):
-                    ids.append(value)
-        if ids:
-            return ids
-    # A plain (un-federated) backend page has no backend label at all.
-    return [""]
-
-
-def _render_top(families: dict, prev: dict | None, dt: float | None) -> str:
-    """One ``repro top`` frame from a parsed (federated) metrics page."""
-    table = Table(
-        ["backend", "req/s", "requests", "p50 ms", "p99 ms", "queue", "up"],
-        title="cluster top",
-    )
-    for backend in _top_backends(families):
-        labels = {"backend": backend} if backend else {}
-        requests = _top_value(families, "repro_requests_total", **labels)
-        rate = float("nan")
-        if prev is not None and dt is not None and dt > 0:
-            rate = (requests - _top_value(prev, "repro_requests_total",
-                                          **labels)) / dt
-        up_fam = families.get("repro_federation_up")
-        up = ("yes" if _top_value(families, "repro_federation_up", **labels)
-              else "DOWN") if up_fam is not None and backend else "-"
-        table.add_row(
-            backend or "(local)",
-            "-" if rate != rate else f"{rate:,.0f}",
-            int(requests),
-            _top_histogram_quantile(
-                families, "repro_batch_latency_seconds", 0.50, **labels),
-            _top_histogram_quantile(
-                families, "repro_batch_latency_seconds", 0.99, **labels),
-            int(_top_value(families, "repro_queue_depth", **labels)),
-            up,
-        )
-    epoch = _top_value(families, "repro_proxy_epoch", backend="proxy")
-    if not epoch:
-        epoch = _top_value(families, "repro_proxy_epoch")
-    migrations = _top_value(families, "repro_proxy_migrations_total")
-    inflight = _top_value(families, "repro_proxy_migrations_inflight")
-    footer = (f"epoch {int(epoch)}, {int(migrations)} migration(s) done, "
-              f"{int(inflight)} in flight")
-    return f"{table.render()}\n{footer}"
-
-
 def _cmd_top(args) -> int:
     """``top``: poll a (federated) /metrics page into a live status table."""
     from time import monotonic, sleep
 
-    from repro.obs import parse_exposition
-    from repro.obs.federation import scrape
+    from repro.obs.federation import parse_exposition, render_top, scrape
 
     prev: dict | None = None
     prev_at: float | None = None
-    refreshes = 0
     try:
         while True:
             try:
@@ -1764,10 +1651,8 @@ def _cmd_top(args) -> int:
             now = monotonic()
             families = parse_exposition(text)
             dt = None if prev_at is None else now - prev_at
-            print(_render_top(families, prev, dt), flush=True)
-            refreshes += 1
-            if args.once or (args.iterations
-                             and refreshes >= args.iterations):
+            print(render_top(families, prev, dt), flush=True)
+            if args.once:
                 return 0
             prev, prev_at = families, now
             sleep(args.interval)

@@ -3,9 +3,10 @@
 The autoscaler closes the *capacity* loop the admission controller
 leaves open: when pressure stays high even with tight admission, the
 right answer is more serving capacity, not more shedding.  It watches
-the same folded pressure scalar, runs the same
-:class:`~repro.control.controller.HysteresisGovernor` (so it never
-flaps either), and acts through live shard migration:
+the same folded pressure scalar through the same
+:class:`~repro.control.controller.GovernedLoop` (so its
+:class:`~repro.control.controller.HysteresisGovernor` never flaps
+either), and acts through live shard migration:
 
 * **scale up** — ask the :class:`Spawner` for a fresh backend, then
   move shards onto it along the deterministic
@@ -28,10 +29,10 @@ from __future__ import annotations
 import subprocess
 import sys
 import threading
-from time import monotonic, sleep
+from time import monotonic
 
 from repro.cluster.proxy import ClusterProxy
-from repro.control.controller import ControllerConfig, HysteresisGovernor
+from repro.control.controller import ControllerConfig, GovernedLoop
 from repro.errors import ServiceConfigError
 from repro.obs.registry import MetricsRegistry, null_registry
 
@@ -142,21 +143,19 @@ def _drain_pipe(stream) -> None:
         pass
 
 
-class Autoscaler:
+class Autoscaler(GovernedLoop):
     """Pressure-driven backend pool sizing through live migration.
 
-    ``signals`` is a zero-argument callable returning an object with a
-    ``pressure`` attribute (or a bare float) — normally the same
-    :class:`~repro.obs.SignalReader` the admission controller polls,
-    pointed at the federated cluster page.  ``spawner`` provides
-    ``spawn() -> address`` / ``retire(address)``.
+    ``signals`` is normally the same :class:`~repro.obs.SignalReader`
+    the admission controller polls, pointed at the federated cluster
+    page.  ``spawner`` provides ``spawn() -> address`` /
+    ``retire(address)``.
 
-    ``step()`` runs one decision (exposed for deterministic tests);
-    ``start()`` polls on a daemon thread.  Scale-ups add one backend and
-    rebalance onto it; scale-downs drain the most recent addition and
-    retire it.  Both paths are pure sequences of live migrations, so the
-    zero-loss ledger guarantee of :func:`~repro.cluster.migrate_shard`
-    carries through every scale event.
+    Scale-ups add one backend and rebalance onto it; scale-downs drain
+    the most recent addition and retire it.  Both paths are pure
+    sequences of live migrations, so the zero-loss ledger guarantee of
+    :func:`~repro.cluster.migrate_shard` carries through every scale
+    event.
     """
 
     def __init__(self, proxy: ClusterProxy, spawner, signals, *,
@@ -168,15 +167,13 @@ class Autoscaler:
             raise ServiceConfigError(
                 "need 1 <= min_backends <= max_backends, got "
                 f"[{min_backends}, {max_backends}]")
+        super().__init__(signals, config if config is not None
+                         else ControllerConfig(interval_s=0.25, dwell_s=2.0),
+                         clock)
         self.proxy = proxy
         self.spawner = spawner
-        self.signals = signals
-        self.config = config if config is not None else ControllerConfig(
-            interval_s=0.25, dwell_s=2.0)
-        self.governor = HysteresisGovernor(self.config)
         self.min_backends = min_backends
         self.max_backends = max_backends
-        self._clock = clock
         #: Backends this autoscaler added, most recent last (scale-down
         #: retires in LIFO order and never touches the seed pool).
         self.spawned: list[str] = []
@@ -187,22 +184,14 @@ class Autoscaler:
             "repro_ctl_scale_events_total",
             "Completed scale events by direction", ("direction",))
         self._m_backends.set(len(self.proxy.table.map.backends))
-        self._thread: threading.Thread | None = None
-        self._stop = threading.Event()
         self._lock = threading.Lock()
 
     @property
     def n_backends(self) -> int:
         return len(self.proxy.table.map.backends)
 
-    def step(self, now: float | None = None) -> str | None:
-        """One decision; returns ``"up"`` / ``"down"`` when it scaled."""
-        now = self._clock() if now is None else now
-        reading = self.signals()
-        pressure = float(getattr(reading, "pressure", reading))
-        decision = self.governor.decide(now, pressure)
-        if decision is None:
-            return None
+    def _act(self, decision: str) -> str | None:
+        """Scale; returns ``"up"`` / ``"down"`` when it did."""
         with self._lock:
             if decision == "tighten":
                 return "up" if self._scale_up() else None
@@ -234,33 +223,3 @@ class Autoscaler:
         self._m_backends.set(len(self.proxy.table.map.backends))
         self._m_events.labels("down").inc()
         return True
-
-    # -- loop lifecycle ----------------------------------------------------
-    def start(self) -> "Autoscaler":
-        if self._thread is not None:
-            raise ServiceConfigError("autoscaler already started")
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._run, name="repro-autoscale", daemon=True)
-        self._thread.start()
-        return self
-
-    def stop(self, timeout: float | None = 10.0) -> None:
-        if self._thread is None:
-            return
-        self._stop.set()
-        self._thread.join(timeout)
-        self._thread = None
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.config.interval_s):
-            try:
-                self.step()
-            except Exception:  # pragma: no cover - keep the loop alive
-                sleep(self.config.interval_s)
-
-    def __enter__(self) -> "Autoscaler":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()

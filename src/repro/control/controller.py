@@ -25,21 +25,28 @@ Every decision is observable: setpoints are exported as
 ``repro_ctl_pressure``, and moves as
 ``repro_ctl_moves_total{direction=...}`` — so ``repro top`` and the
 federated page show the controller acting live.
+
+:class:`GovernedLoop` is the one poll loop of the control plane: the
+admission controller and the autoscaler
+(:class:`~repro.control.autoscale.Autoscaler`) differ only in what they
+do with a decision.
 """
 
 from __future__ import annotations
 
 import threading
+import traceback
 from dataclasses import dataclass
 from time import monotonic
 
 from repro.errors import ServiceConfigError
-from repro.obs.registry import MetricsRegistry, null_registry
+from repro.obs.registry import NULL_METRIC, MetricsRegistry, null_registry
 
 __all__ = [
     "Actuator",
     "AdmissionController",
     "ControllerConfig",
+    "GovernedLoop",
     "HysteresisGovernor",
 ]
 
@@ -155,15 +162,76 @@ class Actuator:
         return self._set(self.value + max(1, int((self.hi - self.lo) * frac)))
 
 
-class AdmissionController:
-    """The control loop: sample signals, decide, move the actuators.
+class GovernedLoop:
+    """Read the pressure, ask the governor, act: every ``interval_s`` on a
+    daemon thread, or once per :meth:`step`.
 
     ``signals`` is any zero-argument callable returning an object with a
-    ``pressure`` attribute — normally a
-    :class:`~repro.obs.SignalReader`.  ``step()`` runs one iteration
-    (exposed for deterministic tests); ``start()`` runs it every
-    ``interval_s`` on a daemon thread until ``stop()``.
+    ``pressure`` attribute, or a bare float — normally a
+    :class:`~repro.obs.SignalReader`.  Subclasses implement :meth:`_act`,
+    which carries out a ``"tighten"`` or ``"relax"`` decision and returns
+    what it did (``None`` when nothing moved).  A step that raises is
+    reported on stderr and does not end the loop.
     """
+
+    #: Where each reading's pressure is published (a no-op by default).
+    _m_pressure = NULL_METRIC
+
+    def __init__(self, signals, config: ControllerConfig, clock) -> None:
+        self.signals = signals
+        self.config = config
+        self.governor = HysteresisGovernor(config)
+        self._clock = clock
+        self._thread: threading.Thread | None = None
+        self._stop = threading.Event()
+
+    def step(self, now: float | None = None) -> str | None:
+        """One iteration; returns what :meth:`_act` did, if anything."""
+        now = self._clock() if now is None else now
+        reading = self.signals()
+        pressure = float(getattr(reading, "pressure", reading))
+        self._m_pressure.set(pressure)
+        decision = self.governor.decide(now, pressure)
+        return None if decision is None else self._act(decision)
+
+    def _act(self, decision: str) -> str | None:
+        raise NotImplementedError
+
+    def start(self) -> "GovernedLoop":
+        """Poll-and-act every ``interval_s`` on a daemon thread."""
+        if self._thread is not None:
+            raise ServiceConfigError(
+                f"{type(self).__name__} already started")
+        self._stop.clear()
+        self._thread = threading.Thread(
+            target=self._run, name=type(self).__name__, daemon=True)
+        self._thread.start()
+        return self
+
+    def stop(self, timeout: float | None = 10.0) -> None:
+        """Stop the loop (idempotent)."""
+        if self._thread is None:
+            return
+        self._stop.set()
+        self._thread.join(timeout)
+        self._thread = None
+
+    def _run(self) -> None:
+        while not self._stop.wait(self.config.interval_s):
+            try:
+                self.step()
+            except Exception:  # a failed read or move must not end the loop
+                traceback.print_exc()
+
+    def __enter__(self) -> "GovernedLoop":
+        return self.start()
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop()
+
+
+class AdmissionController(GovernedLoop):
+    """The admission loop: one governor's decision moves every actuator."""
 
     def __init__(self, signals, actuators, *,
                  config: ControllerConfig | None = None,
@@ -175,11 +243,9 @@ class AdmissionController:
         names = [a.name for a in actuators]
         if len(set(names)) != len(names):
             raise ServiceConfigError(f"duplicate actuator name in {names}")
-        self.config = config if config is not None else ControllerConfig()
-        self.signals = signals
+        super().__init__(signals, config if config is not None
+                         else ControllerConfig(), clock)
         self.actuators = list(actuators)
-        self.governor = HysteresisGovernor(self.config)
-        self._clock = clock
         reg = registry if registry is not None else null_registry()
         self._m_pressure = reg.gauge(
             "repro_ctl_pressure", "Folded control pressure in [0, 1]")
@@ -191,23 +257,14 @@ class AdmissionController:
             "Setpoint adjustments by direction", ("direction",))
         for act in self.actuators:
             self._m_setpoint.labels(act.name).set(act.value)
-        self._thread: threading.Thread | None = None
-        self._stop = threading.Event()
         self.n_moves = 0
 
     def setpoints(self) -> dict[str, int]:
         """Current setpoint per actuator name."""
         return {a.name: a.value for a in self.actuators}
 
-    def step(self, now: float | None = None) -> str | None:
-        """One control iteration; returns the decision that moved a knob."""
-        now = self._clock() if now is None else now
-        reading = self.signals()
-        pressure = float(getattr(reading, "pressure", reading))
-        self._m_pressure.set(pressure)
-        decision = self.governor.decide(now, pressure)
-        if decision is None:
-            return None
+    def _act(self, decision: str) -> str | None:
+        """Move every actuator; returns the decision if one moved."""
         moved = False
         for act in self.actuators:
             if decision == "tighten":
@@ -222,35 +279,6 @@ class AdmissionController:
         self.n_moves += 1
         self._m_moves.labels(decision).inc()
         return decision
-
-    # -- loop lifecycle ----------------------------------------------------
-    def start(self) -> "AdmissionController":
-        """Poll-and-act every ``interval_s`` on a daemon thread."""
-        if self._thread is not None:
-            raise ServiceConfigError("controller already started")
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._run, name="repro-ctl", daemon=True)
-        self._thread.start()
-        return self
-
-    def stop(self, timeout: float | None = 5.0) -> None:
-        """Stop the loop (idempotent)."""
-        if self._thread is None:
-            return
-        self._stop.set()
-        self._thread.join(timeout)
-        self._thread = None
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.config.interval_s):
-            self.step()
-
-    def __enter__(self) -> "AdmissionController":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
 
     def __repr__(self) -> str:
         points = ", ".join(f"{a.name}={a.value}" for a in self.actuators)

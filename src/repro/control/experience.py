@@ -282,12 +282,6 @@ class ReplayResult:
     n_evictions: int
     report: LoadReport | None = None
 
-    @property
-    def exact_cost_match(self) -> bool | None:
-        """Whether this replay's cost ``==`` the live ledger (None when
-        the experience carries no live cost)."""
-        return None
-
 
 class ReplayEngine:
     """Re-serves a recorded experience under alternative configurations.

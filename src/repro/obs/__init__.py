@@ -1,13 +1,14 @@
 """repro.obs — unified observability: metrics, decision traces, spans.
 
-Three orthogonal pieces, shared by the simulator, the sharded service, the
-CLI and the benchmark harness:
+Six pieces, shared by the simulator, the sharded service, the CLI and
+the benchmark harness:
 
 * **Metrics registry** (:mod:`repro.obs.registry`) — labeled
   Counter/Gauge/Histogram families with Prometheus-style text exposition
   and a shared no-op registry (:func:`null_registry`) so instrumented code
-  pays nothing when metrics are off.  :class:`MetricsServer` exposes a
-  registry over HTTP (``repro serve --metrics-port``).
+  pays nothing when metrics are off.  :class:`MetricsServer` serves any
+  ``render()`` source over HTTP: a registry (``repro serve
+  --metrics-port``) or a :class:`Federator`.
 * **Decision tracer** (:mod:`repro.obs.tracer`) — a sampled, bounded JSONL
   stream of paging decisions (request, hit/miss, eviction candidates with
   scores, chosen victim, per-level cost).  Sampling is a pure function of
@@ -25,8 +26,13 @@ CLI and the benchmark harness:
   ``(seed, t)`` function, so span files are byte-identical across
   execution backends.
 * **Federation** (:mod:`repro.obs.federation`) — scrape N backend
-  ``/metrics`` pages, re-label by backend id, aggregate
-  (``backend="all"``/``"max"``) and serve the cluster view on one port.
+  ``/metrics`` pages, re-label by backend id and aggregate
+  (``backend="all"``/``"max"``) into one cluster view; :func:`select`
+  reads a parsed page (skipping the aggregates unless asked), and
+  ``repro top`` renders its frames from it.
+* **Control signals** (:mod:`repro.obs.signals`) — :class:`SignalReader`
+  folds a registry or a federated page into the pressure the control
+  plane acts on, and publishes it as gauges.
 
 Quick start::
 
@@ -39,10 +45,10 @@ Quick start::
 """
 
 from repro.obs.federation import (
-    FederationServer,
     Federator,
     federate,
     parse_exposition,
+    select,
 )
 from repro.obs.http import MetricsServer
 from repro.obs.registry import (
@@ -110,9 +116,9 @@ __all__ = [
     "longest_chain",
     "render_waterfall",
     "Federator",
-    "FederationServer",
     "federate",
     "parse_exposition",
+    "select",
     "ControlSignals",
     "SignalReader",
     "TRACE_SCHEMA",

@@ -19,31 +19,37 @@ Liveness of each scrape target is reported as
 drops out of the merged families for that scrape rather than failing
 the whole page.
 
-Everything is stdlib: :mod:`urllib.request` for scraping and the same
-``ThreadingHTTPServer``-on-a-daemon-thread shape as
-:class:`~repro.obs.http.MetricsServer` for serving.
+Everything is stdlib: :mod:`urllib.request` for scraping, and
+:class:`~repro.obs.http.MetricsServer` serves a :class:`Federator` like
+any other ``render()`` source.
+
+:func:`select` is the one reader of a parsed page: ``SignalReader``'s
+page mode, ``repro top`` (:func:`render_top`, :func:`histogram_quantile`)
+and CI's smoke checks all read through it, so which rows of a federated
+page are real is decided here only.
 """
 
 from __future__ import annotations
 
 import re
-import threading
 import urllib.request
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.obs.registry import MetricsRegistry, _fmt_value
 
 __all__ = [
     "ExpositionFamily",
     "parse_exposition",
+    "select",
+    "histogram_quantile",
+    "render_top",
     "federate",
     "scrape",
     "Federator",
-    "FederationServer",
 ]
 
-CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+#: The aggregate rows :func:`federate` adds; no backend served them.
+_SYNTHETIC_BACKENDS = ("all", "max")
 
 _HELP_RE = re.compile(r"^# HELP ([a-zA-Z_:][a-zA-Z0-9_:]*) ?(.*)$")
 _TYPE_RE = re.compile(r"^# TYPE ([a-zA-Z_:][a-zA-Z0-9_:]*) (\w+)$")
@@ -119,6 +125,30 @@ def parse_exposition(text: str) -> dict:
         fam = families.setdefault(fam_name, ExpositionFamily(fam_name))
         fam.samples.append((sample_name, labels, value))
     return families
+
+
+def select(families: dict, name: str, **labels) -> list[tuple[dict, float]]:
+    """``(labels, value)`` of each ``name`` sample whose labels include
+    ``labels``, from a parsed page.
+
+    ``name`` is a sample name: a family's own, or one of a histogram's
+    ``_bucket``/``_sum``/``_count`` series.  The synthetic
+    ``backend="all"``/``"max"`` rows are skipped unless ``labels`` names
+    a backend, so an unlabeled read sees every real row once.
+    """
+    fam = families.get(_family_of(name, families))
+    if fam is None:
+        return []
+    real_only = "backend" not in labels
+    out = []
+    for sample_name, sample_labels, value in fam.samples:
+        have = dict(sample_labels)
+        if sample_name != name or (
+                real_only and have.get("backend") in _SYNTHETIC_BACKENDS):
+            continue
+        if labels.items() <= have.items():
+            out.append((have, value))
+    return out
 
 
 def _fmt_sample(sample_name: str, labels, value) -> str:
@@ -227,88 +257,104 @@ class Federator:
         return federate(pages, up=up)
 
 
-class FederationServer:
-    """Serves a :class:`Federator` at ``/metrics`` from a daemon thread.
+# -- repro top: frames read off a (federated) page ------------------------
 
-    The cluster-wide twin of :class:`~repro.obs.http.MetricsServer`:
-    ``port=0`` binds an ephemeral port, ``/healthz`` answers ``ok``, and
-    each scrape triggers a fresh fan-out to the backends.
+
+def _total(families: dict, name: str, **labels) -> float:
+    return sum(value for _labels, value in select(families, name, **labels))
+
+
+def histogram_quantile(families: dict, family: str, q: float,
+                       **labels) -> float:
+    """``q``-quantile (ms) from cumulative ``<family>_bucket`` samples.
+
+    Linear interpolation within the winning bucket, the standard
+    Prometheus ``histogram_quantile`` estimate; +Inf-bucket hits clamp
+    to the largest finite edge.
     """
+    buckets: dict[float, float] = {}
+    for sample_labels, value in select(families, f"{family}_bucket",
+                                       **labels):
+        le = sample_labels.get("le")
+        if le is None:
+            continue
+        edge = float(le)  # float() reads "+Inf" as inf
+        buckets[edge] = buckets.get(edge, 0.0) + value
+    if not buckets:
+        return 0.0
+    edges = sorted(buckets)
+    total = buckets[edges[-1]]
+    if total <= 0:
+        return 0.0
+    rank = q * total
+    prev_edge, prev_count = 0.0, 0.0
+    for edge in edges:
+        count = buckets[edge]
+        if count >= rank:
+            if edge == float("inf"):
+                finite = [e for e in edges if e != float("inf")]
+                return 1e3 * (finite[-1] if finite else 0.0)
+            if count == prev_count:
+                return 1e3 * edge
+            frac = (rank - prev_count) / (count - prev_count)
+            return 1e3 * (prev_edge + frac * (edge - prev_edge))
+        prev_edge, prev_count = edge, count
+    return 1e3 * edges[-1]
 
-    def __init__(self, federator: Federator, *, port: int = 0,
-                 host: str = "127.0.0.1") -> None:
-        self.federator = federator
-        self._host = host
-        self._requested_port = port
-        self._httpd: ThreadingHTTPServer | None = None
-        self._thread: threading.Thread | None = None
 
-    @property
-    def port(self) -> int:
-        """The bound port (valid after :meth:`start`)."""
-        if self._httpd is None:
-            return self._requested_port
-        return self._httpd.server_address[1]
+def _top_backends(families: dict) -> list[str]:
+    """Backend ids on the page, the proxy's own row excluded; ``[""]``
+    for a plain (un-federated) page, which has no backend label."""
+    for family in ("repro_federation_up", "repro_requests_total"):
+        ids: list[str] = []
+        for labels, _value in select(families, family):
+            backend = labels.get("backend")
+            if backend not in (None, "proxy") and backend not in ids:
+                ids.append(backend)
+        if ids:
+            return ids
+    return [""]
 
-    @property
-    def url(self) -> str:
-        """The scrape URL."""
-        return f"http://{self._host}:{self.port}/metrics"
 
-    def start(self) -> "FederationServer":
-        """Bind and start serving on a daemon thread."""
-        if self._httpd is not None:
-            return self
-        federator = self.federator
+def render_top(families: dict, prev: dict | None, dt: float | None) -> str:
+    """One ``repro top`` frame from a parsed (federated) metrics page.
 
-        class Handler(BaseHTTPRequestHandler):
-            def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-                if self.path.split("?", 1)[0] == "/metrics":
-                    body = federator.render().encode("utf-8")
-                    self.send_response(200)
-                    self.send_header("Content-Type", CONTENT_TYPE)
-                elif self.path == "/healthz":
-                    body = b"ok\n"
-                    self.send_response(200)
-                    self.send_header("Content-Type", "text/plain")
-                else:
-                    body = b"not found\n"
-                    self.send_response(404)
-                    self.send_header("Content-Type", "text/plain")
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
+    ``prev`` is the page parsed ``dt`` seconds earlier, for the req/s
+    column (``None`` on the first frame).
+    """
+    from repro.analysis.tables import Table
 
-            def log_message(self, fmt, *args) -> None:
-                pass  # scrapes should not spam the CLI
-
-        self._httpd = ThreadingHTTPServer(
-            (self._host, self._requested_port), Handler
+    table = Table(
+        ["backend", "req/s", "requests", "p50 ms", "p99 ms", "queue", "up"],
+        title="cluster top",
+    )
+    for backend in _top_backends(families):
+        labels = {"backend": backend} if backend else {}
+        requests = _total(families, "repro_requests_total", **labels)
+        rate = "-"
+        if prev is not None and dt:
+            done = requests - _total(prev, "repro_requests_total", **labels)
+            rate = f"{done / dt:,.0f}"
+        up = "-"
+        if backend and "repro_federation_up" in families:
+            up = ("yes" if _total(families, "repro_federation_up", **labels)
+                  else "DOWN")
+        table.add_row(
+            backend or "(local)",
+            rate,
+            int(requests),
+            histogram_quantile(
+                families, "repro_batch_latency_seconds", 0.50, **labels),
+            histogram_quantile(
+                families, "repro_batch_latency_seconds", 0.99, **labels),
+            int(_total(families, "repro_queue_depth", **labels)),
+            up,
         )
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever, name="repro-federation",
-            daemon=True,
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        """Stop serving and release the port (idempotent)."""
-        if self._httpd is None:
-            return
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-        self._httpd = None
-        self._thread = None
-
-    def __enter__(self) -> "FederationServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-    def __repr__(self) -> str:
-        state = "serving" if self._httpd is not None else "stopped"
-        return f"FederationServer({self.url}, {state})"
+    # Only the proxy carries these; its row is the one real row on a
+    # federated page and the unlabeled one on its own page.
+    epoch = _total(families, "repro_proxy_epoch")
+    migrations = _total(families, "repro_proxy_migrations_total")
+    inflight = _total(families, "repro_proxy_migrations_inflight")
+    footer = (f"epoch {int(epoch)}, {int(migrations)} migration(s) done, "
+              f"{int(inflight)} in flight")
+    return f"{table.render()}\n{footer}"

@@ -1,18 +1,18 @@
-"""Tiny stdlib HTTP thread exposing a registry at ``/metrics``.
+"""Tiny stdlib HTTP thread exposing a metrics page at ``/metrics``.
 
 No framework, no dependency: a :class:`~http.server.ThreadingHTTPServer`
-on a daemon thread, rendering :meth:`MetricsRegistry.render` per scrape.
-``/healthz`` answers ``ok`` for liveness probes.  Intended for
-``repro serve --metrics-port`` and tests; anything heavier should scrape
-this endpoint rather than import the process.
+on a daemon thread, rendering its source's ``render()`` per scrape — a
+registry (``repro serve --metrics-port``) or a
+:class:`~repro.obs.federation.Federator` (``repro cluster proxy
+--federate-port``).  ``/healthz`` answers ``ok`` for liveness probes.
+Anything heavier should scrape this endpoint rather than import the
+process.
 """
 
 from __future__ import annotations
 
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
-from repro.obs.registry import MetricsRegistry
 
 __all__ = ["MetricsServer"]
 
@@ -22,13 +22,14 @@ CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 class MetricsServer:
     """Serves ``GET /metrics`` (text exposition) from a background thread.
 
-    ``port=0`` binds an ephemeral port; read :attr:`port` after
+    ``source`` is any object whose ``render()`` returns the exposition
+    text.  ``port=0`` binds an ephemeral port; read :attr:`port` after
     :meth:`start`.  Usable as a context manager.
     """
 
-    def __init__(self, registry: MetricsRegistry, *, port: int = 0,
+    def __init__(self, source, *, port: int = 0,
                  host: str = "127.0.0.1") -> None:
-        self.registry = registry
+        self.source = source
         self._host = host
         self._requested_port = port
         self._httpd: ThreadingHTTPServer | None = None
@@ -50,12 +51,12 @@ class MetricsServer:
         """Bind and start serving on a daemon thread."""
         if self._httpd is not None:
             return self
-        registry = self.registry
+        source = self.source
 
         class Handler(BaseHTTPRequestHandler):
             def do_GET(self) -> None:  # noqa: N802 - stdlib naming
                 if self.path.split("?", 1)[0] == "/metrics":
-                    body = registry.render().encode("utf-8")
+                    body = source.render().encode("utf-8")
                     self.send_response(200)
                     self.send_header("Content-Type", CONTENT_TYPE)
                 elif self.path == "/healthz":

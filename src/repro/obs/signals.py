@@ -15,8 +15,8 @@ metric families only partially express:
 
 :class:`SignalReader` computes them from either a live
 :class:`~repro.obs.MetricsRegistry` (single node) or a federated text
-exposition page (cluster mode, via
-:func:`~repro.obs.federation.parse_exposition`), and *publishes* them
+exposition page (cluster mode, read through
+:func:`~repro.obs.federation.select`), and *publishes* them
 back as first-class gauges — ``repro_queue_occupancy``,
 ``repro_inflight_occupancy``, ``repro_shed_rate``,
 ``repro_overload_rate`` — so ``/metrics``, federation and ``repro top``
@@ -28,14 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from time import monotonic
 
-from repro.obs.federation import parse_exposition
+from repro.obs.federation import parse_exposition, select
 from repro.obs.registry import MetricsRegistry
 
 __all__ = ["ControlSignals", "SignalReader"]
-
-#: Synthetic per-backend aggregate labels a federated page carries;
-#: excluded when re-aggregating so nothing is double counted.
-_SYNTHETIC_BACKENDS = ("all", "max")
 
 
 @dataclass(frozen=True)
@@ -115,12 +111,7 @@ class SignalReader:
         if self._registry is not None:
             fam = self._registry.collect().get(name, {})
             return [v for v in fam.values() if isinstance(v, (int, float))]
-        fam = self._families.get(name)
-        if fam is None:
-            return []
-        return [value for sample_name, labels, value in fam.samples
-                if sample_name == name
-                and dict(labels).get("backend") not in _SYNTHETIC_BACKENDS]
+        return [value for _labels, value in select(self._families, name)]
 
     def _refresh_page(self) -> None:
         self._families = parse_exposition(self._page())

@@ -20,7 +20,7 @@ from repro.core.instance import MultiLevelInstance
 from repro.core.requests import RequestSequence
 from repro.errors import InvalidInstanceError
 
-__all__ = ["belady_cost", "next_use_indices"]
+__all__ = ["belady_cost", "min_evictions", "next_use_indices"]
 
 _NEVER = np.iinfo(np.int64).max
 
@@ -54,8 +54,16 @@ def belady_cost(instance: MultiLevelInstance, seq: RequestSequence) -> float:
 
     pages = seq.pages
     next_use = next_use_indices(pages, instance.n_pages)
-    k = instance.cache_size
+    return float(min_evictions(pages, next_use, instance.cache_size))
 
+
+def min_evictions(pages: np.ndarray, next_use: np.ndarray, k: int) -> int:
+    """Evictions of MIN with a size-``k`` cache, given
+    :func:`next_use_indices` of ``pages``.
+
+    The misses that evict nothing fill the empty slots, so MIN misses
+    ``min_evictions(...) + min(k, #distinct pages)`` times.
+    """
     cached: dict[int, int] = {}  # page -> next use at the time it was keyed
     heap: list[tuple[int, int]] = []  # (-next_use, page), lazy entries
     evictions = 0
@@ -75,4 +83,4 @@ def belady_cost(instance: MultiLevelInstance, seq: RequestSequence) -> float:
             evictions += 1
         cached[p] = nu
         heapq.heappush(heap, (-nu, p))
-    return float(evictions)
+    return evictions

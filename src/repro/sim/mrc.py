@@ -14,7 +14,8 @@ Python + NumPy.
 
 For unweighted paging this gives exact LRU miss counts; Belady's MIN
 also has the inclusion property, and :func:`opt_miss_curve` computes its
-curve by simulating MIN per size using the shared next-use precompute.
+curve by running :func:`~repro.offline.belady.min_evictions` per size on
+one shared next-use precompute.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.requests import RequestSequence
-from repro.offline.belady import next_use_indices
+from repro.offline.belady import min_evictions, next_use_indices
 
 __all__ = ["FenwickTree", "stack_distances", "lru_miss_curve", "opt_miss_curve"]
 
@@ -120,33 +121,11 @@ def opt_miss_curve(seq: RequestSequence, max_k: int) -> np.ndarray:
     MIN is simulated per size (sharing one next-use precompute); exact
     for unweighted single-level paging.  O(max_k * T log k).
     """
-    import heapq
-
     if max_k < 1:
         raise ValueError(f"max_k must be >= 1, got {max_k}")
     pages = seq.pages
     n = int(pages.max()) + 1 if pages.size else 1
     next_use = next_use_indices(pages, n)
-    out = np.empty(max_k, dtype=np.int64)
-    for k in range(1, max_k + 1):
-        cached: dict[int, int] = {}
-        heap: list[tuple[int, int]] = []
-        misses = 0
-        for t in range(pages.size):
-            p = int(pages[t])
-            nu = int(next_use[t])
-            if p in cached:
-                cached[p] = nu
-                heapq.heappush(heap, (-nu, p))
-                continue
-            misses += 1
-            if len(cached) >= k:
-                while True:
-                    neg_nu, q = heapq.heappop(heap)
-                    if q in cached and cached[q] == -neg_nu:
-                        break
-                del cached[q]
-            cached[p] = nu
-            heapq.heappush(heap, (-nu, p))
-        out[k - 1] = misses
-    return out
+    distinct = int(np.unique(pages).size)
+    return np.array([min_evictions(pages, next_use, k) + min(k, distinct)
+                     for k in range(1, max_k + 1)], dtype=np.int64)

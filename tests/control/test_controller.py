@@ -202,6 +202,26 @@ class TestAdmissionController:
         with pytest.raises(ServiceConfigError):
             AdmissionController(lambda: 0.5, [])
 
+    def test_a_step_that_raises_does_not_end_the_loop(self, capsys):
+        calls = []
+
+        def signals():
+            calls.append(None)
+            if len(calls) == 1:
+                raise OSError("signal source unreachable")
+            return 0.9
+
+        ctl = AdmissionController(
+            signals, [Actuator("w", lo=1, hi=1 << 20)],
+            config=ControllerConfig(interval_s=0.005, dwell_s=0.0))
+        with ctl:
+            import time
+            deadline = time.monotonic() + 5.0
+            while ctl.n_moves == 0 and time.monotonic() < deadline:
+                time.sleep(0.005)
+        assert len(calls) > 1 and ctl.n_moves > 0
+        assert "OSError: signal source unreachable" in capsys.readouterr().err
+
     def test_duplicate_actuator_names_rejected(self):
         with pytest.raises(ServiceConfigError):
             AdmissionController(

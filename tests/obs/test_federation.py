@@ -1,5 +1,5 @@
 """Federation: exposition parsing, exact cross-backend sums, histogram
-merge associativity under re-labeling, and the HTTP federation server."""
+merge associativity under re-labeling, and a Federator served over HTTP."""
 
 import urllib.error
 import urllib.request
@@ -7,12 +7,12 @@ import urllib.request
 import pytest
 
 from repro.obs import (
-    FederationServer,
     Federator,
     MetricsRegistry,
     MetricsServer,
     federate,
     parse_exposition,
+    select,
 )
 
 
@@ -183,6 +183,24 @@ class TestHistogramMergeAssociativity:
         assert regroup("ab", "c") == regroup("bc", "a")
 
 
+class TestSelect:
+    def test_aggregate_rows_only_when_a_backend_is_named(self):
+        a = _registry({"0": 3}, latencies=(0.05,), epoch=2)
+        b = _registry({"0": 5}, epoch=5)
+        fams = parse_exposition(federate({"a": a.render(),
+                                          "b": b.render()}))
+        def total(name, **labels):
+            return sum(v for _, v in select(fams, name, **labels))
+        assert total("repro_requests_total") == 8        # a + b, once
+        assert total("repro_proxy_epoch") == 7           # no all/max rows
+        assert total("repro_proxy_epoch", backend="max") == 5
+        assert total("repro_requests_total", backend="all") == 8
+        assert total("repro_batch_latency_seconds_count") == 1
+        assert select(fams, "repro_nope") == []
+        assert select(fams, "repro_requests_total", backend="b") == [
+            ({"backend": "b", "shard": "0"}, 5.0)]
+
+
 class TestFederatorHTTP:
     def test_scrapes_real_servers_and_marks_down_targets(self):
         a = _registry({"0": 4})
@@ -194,7 +212,7 @@ class TestFederatorHTTP:
                 {"a": srv_a.url, "b": srv_b.url,
                  "dead": "http://127.0.0.1:9/metrics"},
                 local_registry=local, timeout=2.0)
-            with FederationServer(fed) as fsrv:
+            with MetricsServer(fed) as fsrv:
                 with urllib.request.urlopen(fsrv.url, timeout=5) as resp:
                     assert resp.status == 200
                     page = resp.read().decode()
@@ -211,7 +229,7 @@ class TestFederatorHTTP:
 
     def test_unknown_path_is_404(self):
         fed = Federator({})
-        with FederationServer(fed) as fsrv:
+        with MetricsServer(fed) as fsrv:
             with pytest.raises(urllib.error.HTTPError) as err:
                 urllib.request.urlopen(
                     fsrv.url.replace("/metrics", "/nope"), timeout=5)

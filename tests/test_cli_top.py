@@ -1,4 +1,5 @@
-"""``repro top`` frames rendered from fixed exposition pages.
+"""``repro top`` frames rendered from fixed exposition pages, and its
+poll loop against a live endpoint.
 
 Every expected number below is computed by hand from the pages, so a
 change to how ``top`` reads a federated page shows up as a wrong cell.
@@ -6,8 +7,15 @@ change to how ``top`` reads a federated page shows up as a wrong cell.
 
 import pytest
 
-from repro.cli import _render_top, _top_histogram_quantile
-from repro.obs import parse_exposition
+from repro.cli import main
+from repro.obs import (
+    Federator,
+    MetricsRegistry,
+    MetricsServer,
+    federate,
+    parse_exposition,
+)
+from repro.obs.federation import histogram_quantile, render_top
 
 # Backend a:1 served 60 + 40 requests, b:2 served 30 and is down.  Shard 0
 # of a:1 has 10 batches: 2 under 1 ms, 4 more under 10 ms, 4 above.
@@ -59,7 +67,7 @@ def rows(frame: str) -> dict[str, list[str]]:
 
 class TestRenderTop:
     def test_per_backend_rows(self):
-        frame = _render_top(parse_exposition(FEDERATED), None, None)
+        frame = render_top(parse_exposition(FEDERATED), None, None)
         table = rows(frame)
         # req/s, requests, p50 ms, p99 ms, queue, up
         assert table["a:1"] == ["-", "100", "7.750", "10.000", "5", "yes"]
@@ -69,14 +77,14 @@ class TestRenderTop:
             "epoch 2, 1 migration(s) done, 0 in flight")
 
     def test_rate_is_the_delta_between_two_frames(self):
-        frame = _render_top(parse_exposition(LATER),
-                            parse_exposition(FEDERATED), 2.0)
+        frame = render_top(parse_exposition(LATER),
+                           parse_exposition(FEDERATED), 2.0)
         table = rows(frame)
         assert table["a:1"][:2] == ["25", "150"]  # (150 - 100) / 2 s
         assert table["b:2"][:2] == ["0", "30"]
 
     def test_page_without_federation_labels_is_local(self):
-        frame = _render_top(parse_exposition(LOCAL), None, None)
+        frame = render_top(parse_exposition(LOCAL), None, None)
         assert rows(frame) == {"(local)": ["-", "12", "0", "0", "1", "-"]}
         assert frame.splitlines()[-1] == (
             "epoch 0, 0 migration(s) done, 0 in flight")
@@ -93,13 +101,49 @@ class TestHistogramQuantile:
     ])
     def test_interpolation_and_inf_clamp(self, q, expected_ms):
         families = parse_exposition(FEDERATED)
-        assert _top_histogram_quantile(
+        assert histogram_quantile(
             families, "repro_batch_latency_seconds", q,
             backend="a:1") == pytest.approx(expected_ms)
 
     def test_missing_family_or_labels_read_zero(self):
         families = parse_exposition(FEDERATED)
-        assert _top_histogram_quantile(families, "repro_nope", 0.5) == 0.0
-        assert _top_histogram_quantile(
+        assert histogram_quantile(families, "repro_nope", 0.5) == 0.0
+        assert histogram_quantile(
             families, "repro_batch_latency_seconds", 0.5,
             backend="b:2") == 0.0
+
+
+class TestFooter:
+    def test_proxy_rows_count_once_on_a_federated_page(self):
+        """The aggregate rows federate() adds are not migrations."""
+        proxy = MetricsRegistry()
+        proxy.gauge("repro_proxy_epoch", "Epoch").set(1)
+        proxy.counter("repro_proxy_migrations_total", "Done").inc()
+        proxy.gauge("repro_proxy_migrations_inflight", "Running").set(1)
+        page = federate({"proxy": proxy.render(), "a:1": LOCAL})
+        frame = render_top(parse_exposition(page), None, None)
+        assert frame.splitlines()[-1] == (
+            "epoch 1, 1 migration(s) done, 1 in flight")
+
+
+class TestTopCommand:
+    def test_once_against_a_served_federator(self, capsys):
+        backend = MetricsRegistry()
+        backend.counter("repro_requests_total", "Requests",
+                        ("shard",)).labels("0").inc(5)
+        with MetricsServer(backend) as srv, \
+                MetricsServer(Federator({"a:1": srv.url})) as fed:
+            assert main(["top", "--url", fed.url, "--once"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("cluster top") == 1
+        assert rows(out) == {"a:1": ["-", "5", "0", "0", "0", "yes"]}
+
+    def test_refused_url_exits_1_with_one_stderr_line(self, capsys):
+        server = MetricsServer(MetricsRegistry()).start()
+        url = server.url
+        server.stop()  # the port is released: nothing listens there now
+        assert main(["top", "--url", url, "--once"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"top: scrape of {url} failed: ")
+        assert captured.err.count("\n") == 1
