@@ -1,9 +1,9 @@
 """E18 — Columnar kernel throughput: batch kernels vs scalar serve loops.
 
 ``landlord-kernel`` and ``waterfilling-kernel`` keep their policy state in
-per-slot columns and serve whole micro-batches per call (classify the
-batch vectorized, resolve it in one fused loop that trusts that
-classification, settle the ledger once per batch).  Victims
+per-slot list columns and serve whole micro-batches per call (one fused
+loop that reads each request's slot and level from the live columns,
+then one ledger settlement per batch).  Victims
 come off a lazy heap with one ``(death, seq, slot)`` entry per cached
 slot: keys only grow, so a stale entry never overstates its slot's key
 and the refreshed top is the exact minimum.  The arithmetic is the scalar
@@ -37,7 +37,8 @@ Asserted shape claims:
   for both families.  The single-core >= 1M req/s target is recorded as
   an informational flag, not gated: the Zipf shapes here are ~50% misses,
   and each miss runs an eviction round in the interpreter (heap refresh
-  and ``heapreplace``, column writes), which keeps one core below it.
+  and ``heapreplace``, list-column and cache-dict stores), so
+  whether one core reaches it depends on the machine.
 """
 
 from __future__ import annotations

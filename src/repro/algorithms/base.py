@@ -125,7 +125,7 @@ def drive(policy: Policy, t0: int, pages: np.ndarray, levels: np.ndarray,
     """Serve ``pages[i], levels[i]`` at time ``t0 + i``; returns the hits.
 
     The one serving loop of :func:`repro.sim.simulate` and
-    :meth:`repro.service.engine.ShardEngine.process_batch`.  Requests go
+    :meth:`repro.service.engine.ShardEngine.serve`.  Requests go
     through :meth:`Policy.serve_batch`, except that
 
     * with ``validate`` or an event-recording ledger, each request is

@@ -17,23 +17,20 @@ Column                    Meaning
 ``_seqc    list[k]``      key-set sequence number per slot (tie-break)
 ``_heap``                 lazy binary heap of ``(death, seq, slot)`` entries,
                           exactly one per cached slot
-``_slot_level_np i64[k]`` cached level per slot (0 for free slots)
-``_page_slot_np  i64[n]`` page -> slot index (-1 when not cached)
+``_slot_level list[k]``   cached level per slot (0 for free slots)
+``_slot_page  list[k]``   page per slot (-1 for free slots)
+``_page_slot  list[n]``   page -> slot index (-1 when not cached)
 ========================  ====================================================
 
 :meth:`serve_batch` (the override of :meth:`Policy.serve_batch`) serves a
-whole micro-batch:
-
-1. one vectorized pass classifies every request against the numpy
-   index columns (``slot = page_slot[pages]; hit = cached &
-   (level_of_slot <= level)``),
-2. water-filling skips the leading run of pure hits outright (its hits
-   are free; Landlord's credit restores run through the loop below),
-3. the rest runs a lean scalar loop that *trusts* the batch
-   classification for any page not yet touched by a miss/upgrade in
-   this batch (a "dirty" set), and re-derives state only for dirty
-   pages.  Evictions are collected and settled with the ledger once per
-   batch (:meth:`~repro.core.ledger.CostLedger.charge_evictions`).
+whole micro-batch in one fused scalar loop over the batch's pages and
+levels as Python lists, with every column hoisted into a local: each
+request reads its page's slot and cached level from the live columns
+(so a page evicted, upgraded or fetched earlier in the batch is seen as
+it is now), a hit costs two list reads and a compare (plus Landlord's
+credit restore), and only misses and upgrades write state.  Evictions
+are collected and settled with the ledger once per batch
+(:meth:`~repro.core.ledger.CostLedger.charge_evictions`).
 
 There is no second path: the per-request :meth:`serve` (validation,
 sampled decision traces) is that loop run on a batch of one.
@@ -68,7 +65,7 @@ with ``validate=True`` (per-request serving + invariant checks) when
 auditing.
 
 Checkpointing: the policies pickle their columns and heap and rebuild
-the derived python-list mirrors and weight list in ``__setstate__``,
+the weight list and the cache and ledger handles in ``__setstate__``,
 so supervisor restore, process workers, and cluster migration
 round-trip them exactly like the scalar policies.
 """
@@ -86,7 +83,7 @@ __all__ = ["KernelLandlordPolicy", "KernelWaterFillingPolicy"]
 
 
 class _ColumnarPolicy(Policy):
-    """Shared SoA state + batch dispatch for the death-key policy family.
+    """Shared SoA state + the fused serving loop for the death-key family.
 
     Subclasses provide the eviction reason and the hit behavior
     (Landlord restores credit, water-filling does nothing).
@@ -101,8 +98,7 @@ class _ColumnarPolicy(Policy):
 
     def bind(self, instance, cache, rng) -> None:
         super().bind(instance, cache, rng)
-        n, k = instance.n_pages, instance.cache_size
-        self._n = n
+        k = instance.cache_size
         self._k = k
         self._L = instance.n_levels
         self._offset = 0.0
@@ -111,23 +107,15 @@ class _ColumnarPolicy(Policy):
         self._death = [0.0] * k
         self._seqc = [0] * k
         self._heap: list[tuple[float, int, int]] = []
-        # Index columns; the batch classification reads them vectorized.
-        self._page_slot_np = np.full(n, -1, dtype=np.int64)
-        self._slot_level_np = np.zeros(k, dtype=np.int64)
+        self._page_slot = [-1] * instance.n_pages
+        self._slot_level = [0] * k
         self._free = list(range(k - 1, -1, -1))
         self._slot_page = [-1] * k
         self._rebuild_derived()
 
     def _rebuild_derived(self) -> None:
-        """(Re)derive the hot-loop mirrors from the pickled/bound state.
-
-        Python-list mirrors of the index columns exist because scalar
-        reads from a list are ~2x faster than numpy scalar indexing —
-        the batch path still reads the numpy columns vectorized.
-        """
-        self._wlist = self.instance.weights.ravel().tolist()
-        self._page_slot = self._page_slot_np.tolist()
-        self._slot_level = self._slot_level_np.tolist()
+        """(Re)derive the weight list and the cache and ledger handles."""
+        self.rebind_instance()
         self._contents = self.cache._contents
         self._ledger = self.cache.ledger
 
@@ -138,29 +126,26 @@ class _ColumnarPolicy(Policy):
     # -- pickling ----------------------------------------------------------
     def __getstate__(self) -> dict:
         state = super().__getstate__()
-        # Derived mirrors are rebuilt on unpickle; dropping them keeps
+        # Derived views are rebuilt on unpickle; dropping them keeps
         # checkpoints small and avoids pickling the cache dict twice.
-        for name in ("_wlist", "_page_slot", "_slot_level",
-                     "_contents", "_ledger"):
+        for name in ("_wlist", "_contents", "_ledger"):
             state.pop(name, None)
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        if state.get("instance") is not None and "_page_slot_np" in state:
+        if state.get("instance") is not None:
             self._rebuild_derived()
 
     # -- batch loop --------------------------------------------------------
-    def _serve_rest(self, i0, pages_l, levels_l, hit_l, slot_l, level_l) -> int:
-        """Scalar loop over ``[i0, n)`` trusting the batch classification.
+    def _serve_rest(self, pages_l, levels_l) -> int:
+        """Serve ``pages_l[i], levels_l[i]`` in order; returns the hits.
 
-        One fused loop with every piece of state hoisted into locals: a
-        page not yet touched by a miss/upgrade in this batch (the
-        ``dirty`` set) keeps its classification-pass verdict, slot, and
-        cached level; anything else re-derives from the live columns.
-        This is the kernel's only serving code — :meth:`serve` runs it on
-        a batch of one with no trusted hits.  Evictions and fetches are
-        settled with the ledger once, at the end of the batch.
+        One fused loop with every column hoisted into a local; each
+        request reads its page's slot and cached level from the live
+        columns.  This is the kernel's only serving code — :meth:`serve`
+        runs it on a batch of one.  Evictions and fetches are settled
+        with the ledger once, at the end of the batch.
         """
         death = self._death
         seqc = self._seqc
@@ -170,8 +155,6 @@ class _ColumnarPolicy(Policy):
         page_slot = self._page_slot
         slot_page = self._slot_page
         slot_level = self._slot_level
-        page_slot_np = self._page_slot_np
-        slot_level_np = self._slot_level_np
         contents = self._contents
         free = self._free
         k = self._k
@@ -183,25 +166,9 @@ class _ColumnarPolicy(Policy):
         evictions: list[tuple[int, int, float, str]] = []
         charge = evictions.append
         fetched = 0
-        dirty: set[int] = set()
-        dirty_add = dirty.add
         hits = 0
         try:
-            for i in range(i0, len(pages_l)):
-                page = pages_l[i]
-                if hit_l[i] and page not in dirty:
-                    # Trusted hit: slot and cached level come from the
-                    # classification pass.
-                    hits += 1
-                    if restores:
-                        slot = slot_l[i]
-                        death[slot] = (
-                            wlist[page * L + level_l[i] - 1] + offset
-                        )
-                        seqc[slot] = counter
-                        counter += 1
-                    continue
-                level = levels_l[i]
+            for page, level in zip(pages_l, levels_l):
                 slot = page_slot[page]
                 if slot >= 0:
                     current = slot_level[slot]
@@ -220,11 +187,9 @@ class _ColumnarPolicy(Policy):
                     contents[page] = level
                     fetched += 1
                     slot_level[slot] = level
-                    slot_level_np[slot] = level
                     death[slot] = wlist[page * L + level - 1] + offset
                     seqc[slot] = counter
                     counter += 1
-                    dirty_add(page)
                     continue
                 # Miss: evict the (death, seq)-minimal copy if full; the
                 # new copy then takes over the victim's slot and entry.
@@ -247,8 +212,6 @@ class _ColumnarPolicy(Policy):
                     charge((vpage, vlevel,
                             wlist[vpage * L + vlevel - 1], reason))
                     page_slot[vpage] = -1
-                    page_slot_np[vpage] = -1
-                    dirty_add(vpage)
                     push = heapreplace
                 else:
                     slot = free.pop()
@@ -259,14 +222,11 @@ class _ColumnarPolicy(Policy):
                 contents[page] = level
                 fetched += 1
                 page_slot[page] = slot
-                page_slot_np[page] = slot
                 slot_page[slot] = page
                 slot_level[slot] = level
-                slot_level_np[slot] = level
                 death[slot] = key
                 seqc[slot] = counter
                 counter += 1
-                dirty_add(page)
         finally:
             self._offset = offset
             self._counter = counter
@@ -279,7 +239,7 @@ class _ColumnarPolicy(Policy):
 
     def serve(self, t: int, page: int, level: int) -> None:
         """Serve one request: the fused batch loop on a batch of one."""
-        self._serve_rest(0, (page,), (level,), (False,), None, None)
+        self._serve_rest((page,), (level,))
 
     # -- batch entry point -------------------------------------------------
     def serve_batch(self, t0: int, pages: np.ndarray, levels: np.ndarray) -> int:
@@ -290,24 +250,7 @@ class _ColumnarPolicy(Policy):
         first request (kept for protocol symmetry — the death-key
         policies are clock-free).
         """
-        n = int(pages.size)
-        if n == 0:
-            return 0
-        slots = self._page_slot_np[pages]
-        # slots == -1 reads the last row of the level column; the value
-        # is garbage but the `cached` mask below discards it.
-        cached_levels = self._slot_level_np[slots]
-        is_hit = (slots >= 0) & (cached_levels <= levels)
-        start = 0
-        if not self._hit_restores:
-            # Hits touch no state: skip the leading run of them outright.
-            start = int(is_hit.argmin())
-            if is_hit[start]:
-                return n  # argmin found no False: the batch is all hits
-        return start + self._serve_rest(
-            start, pages.tolist(), levels.tolist(), is_hit.tolist(),
-            slots.tolist(), cached_levels.tolist(),
-        )
+        return self._serve_rest(pages.tolist(), levels.tolist())
 
 
 @register_policy
@@ -315,8 +258,8 @@ class KernelLandlordPolicy(_ColumnarPolicy):
     """Landlord on columnar state; ``==``-equal to ``landlord-ref``.
 
     Hits restore the cached copy's credit (a death-key rewrite at the
-    *current* level), so every request of a batch goes through the
-    fused loop; a hit only overwrites its slot's key, in request order.
+    *current* level); a hit only overwrites its slot's key, in request
+    order.
     """
 
     name = "landlord-kernel"
@@ -333,9 +276,10 @@ policy_registry["landlord"] = KernelLandlordPolicy
 class KernelWaterFillingPolicy(_ColumnarPolicy):
     """Water-filling on columnar state; ``==``-equal to ``waterfilling``.
 
-    Hits are free (no state change), so the batch path reduces to the
-    classification pass plus scalar work on misses and upgrades only —
-    the fastest policy in the registry on hit-heavy streams.
+    Hits are free (no state change): in the batch loop a hit is two
+    list reads and a level compare, and only misses and upgrades write
+    the columns — the fastest policy in the registry on hit-heavy
+    streams.
     """
 
     name = "waterfilling-kernel"

@@ -87,6 +87,8 @@ class SignalReader:
         self._last_t: float | None = None
         self._last_shed = 0.0
         self._last_overload = 0.0
+        # The source as of the last sample: ``collect()``'s dict in
+        # registry mode, the parsed page otherwise.
         self._families: dict = {}
         publish = publish if publish is not None else self._registry
         if publish is not None:
@@ -109,19 +111,22 @@ class SignalReader:
     def _values(self, name: str) -> list[float]:
         """Every child value of one family, synthetic aggregates excluded."""
         if self._registry is not None:
-            fam = self._registry.collect().get(name, {})
+            fam = self._families.get(name, {})
             return [v for v in fam.values() if isinstance(v, (int, float))]
         return [value for _labels, value in select(self._families, name)]
 
-    def _refresh_page(self) -> None:
-        self._families = parse_exposition(self._page())
+    def _refresh(self) -> None:
+        """Read the source once: ``collect()`` or one parsed page."""
+        if self._registry is not None:
+            self._families = self._registry.collect()
+        else:
+            self._families = parse_exposition(self._page())
 
     # -- sampling ----------------------------------------------------------
     def sample(self) -> ControlSignals:
         """One coherent reading; publishes the derived gauges as a side
         effect."""
-        if self._page is not None:
-            self._refresh_page()
+        self._refresh()
         now = self._clock()
         dt = 0.0 if self._last_t is None else max(now - self._last_t, 1e-9)
 

@@ -88,13 +88,14 @@ class ShardEngine:
         self.ledger.tracer = tracer
         self.policy.tracer = tracer
 
-    def process_batch(self, pages: np.ndarray, levels: np.ndarray) -> None:
-        """Serve one micro-batch; every page must be routed to this shard.
+    def serve(self, pages: np.ndarray, levels: np.ndarray) -> None:
+        """Serve one micro-batch without metering it.
 
-        Timing covers the whole batch (the latency the load generator's
-        clients would observe for a synchronous round-trip).
+        :func:`drive` plus the ledger's request, hit, miss and batch
+        counts; every page must be routed to this shard.  A process
+        worker calls this directly, so the parent's meter is the only
+        meter of a process-backed shard.
         """
-        started = perf_counter()
         ledger = self.ledger
         hits = drive(self.policy, ledger.n_requests, pages, levels,
                      validate=self.validate, tracer=self.tracer)
@@ -103,7 +104,16 @@ class ShardEngine:
         ledger.n_hits += hits
         ledger.n_misses += n - hits
         ledger.n_batches += 1
-        self.meter.batch(ledger, perf_counter() - started)
+
+    def process_batch(self, pages: np.ndarray, levels: np.ndarray) -> None:
+        """Serve one micro-batch (:meth:`serve`) and meter it.
+
+        Timing covers the whole batch (the latency the load generator's
+        clients would observe for a synchronous round-trip).
+        """
+        started = perf_counter()
+        self.serve(pages, levels)
+        self.meter.batch(self.ledger, perf_counter() - started)
 
     # -- checkpoint support ------------------------------------------------
     def capture_state(self) -> tuple[bytes, tuple | None, int]:

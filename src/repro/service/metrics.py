@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.analysis.tables import Table
 from repro.core.ledger import CostLedger
-from repro.obs.registry import MetricsRegistry, null_registry
+from repro.obs.registry import DEFAULT_BUCKETS, MetricsRegistry, null_registry
 from repro.obs.spans import PhaseProfiler, SpanStats, merge_span_stats
 
 __all__ = [
@@ -41,6 +41,11 @@ __all__ = [
 
 #: Recent batch service times each shard keeps for percentile estimates.
 LATENCY_WINDOW = 4096
+
+#: ``repro_batch_latency_seconds`` edges: most shard batches take less
+#: than the first default edge (0.5 ms), where a bucket quantile can only
+#: read q x 0.5 ms, so this one family prepends finer edges.
+BATCH_LATENCY_BUCKETS = (1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4) + DEFAULT_BUCKETS
 
 
 class ServiceLedger(CostLedger):
@@ -115,9 +120,9 @@ class LatencyHistogram:
     """Bounded ring of recent observations (seconds) with percentile queries.
 
     The window keeps the most recent ``window`` observations.  It is not a
-    copy of the registry's ``repro_batch_latency_seconds`` histogram: that
-    one's buckets start at 0.5 ms, above a typical shard batch, so only
-    the raw window gives exact snapshot percentiles.
+    copy of the registry's ``repro_batch_latency_seconds`` histogram: a
+    bucket quantile interpolates between two edges, so only the raw
+    window gives exact snapshot percentiles.
     """
 
     __slots__ = ("_window", "_samples", "_pos")
@@ -278,7 +283,7 @@ class ShardMeter:
         ).labels(label)
         self._m_latency = reg.histogram(
             "repro_batch_latency_seconds", "Batch service time per shard",
-            ("shard",),
+            ("shard",), buckets=BATCH_LATENCY_BUCKETS,
         ).labels(label)
         self._f_evictions = reg.counter(
             "repro_evictions_total", "Evictions charged to this ledger",

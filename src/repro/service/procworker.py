@@ -10,9 +10,10 @@ moves each engine into its own **spawned** process:
   registry; the parent owns exposition) and serves a tiny op loop over a
   :class:`multiprocessing.connection.Connection`: ``batch`` / ``checkpoint``
   / ``restore`` / ``stop``.  Because the child owns a real
-  ``ShardEngine``, each micro-batch arriving over the pipe goes to the
-  policy's ``serve_batch`` as the numpy arrays the columnar kernels
-  (:mod:`repro.algorithms.kernels`) consume.
+  ``ShardEngine``, each micro-batch arriving over the pipe is served by
+  its unmetered :meth:`~repro.service.engine.ShardEngine.serve` step —
+  the same ``drive`` loop an in-process shard runs — and the ack's
+  ``elapsed`` times that step alone.
 * :class:`ProcEngine` — the parent-side handle.  It mimics exactly the
   slice of the ``ShardEngine`` interface the service uses
   (``process_batch``, ``capture_state`` / ``restore_from``, ``snapshot``,
@@ -120,12 +121,12 @@ def _child_main(conn, spec: WorkerSpec) -> None:
             if kind == "batch":
                 started = perf_counter()
                 try:
-                    engine.process_batch(op[1], op[2])
+                    engine.serve(op[1], op[2])
                 except BaseException as exc:  # ship it; stay up for restore
                     conn.send(("error", exc))
                 else:
-                    conn.send(("ack", ShardTotals.of(engine.ledger),
-                               perf_counter() - started))
+                    elapsed = perf_counter() - started
+                    conn.send(("ack", ShardTotals.of(engine.ledger), elapsed))
             elif kind == "checkpoint":
                 payload, mark, t = engine.capture_state()
                 conn.send(("ckpt", payload, mark, t))

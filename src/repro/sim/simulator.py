@@ -69,8 +69,8 @@ def simulate(
     ledger.tracer = policy.tracer = tracer
     hits = 0
     try:
-        # Chunking (rather than one giant call) keeps a columnar kernel's
-        # batch classification fresh against the evolving cache.
+        # Chunking (rather than one giant call) only bounds the memory of
+        # the Python lists each ``serve_batch`` makes of its chunk.
         for lo in range(0, len(seq), _BATCH_CHUNK):
             hi = lo + _BATCH_CHUNK
             hits += drive(policy, lo, seq.pages[lo:hi], seq.levels[lo:hi],

@@ -164,6 +164,81 @@ class TestServeBatchChunks:
             assert hits == oracle.n_hits
 
 
+def _warm_then_batch(policy_cls, inst, warm, batch):
+    """Warm a bound policy request by request, then serve ``batch`` in one
+    ``serve_batch`` call; returns (events, cost, final cache, batch hits)."""
+    ledger = CostLedger(record_events=True)
+    policy = policy_cls()
+    policy.bind(inst, MultiLevelCache(inst, ledger), np.random.default_rng(0))
+    for t, (page, level) in enumerate(warm):
+        policy.serve(t, page, level)
+    pages, levels = (np.array(col, dtype=np.int64) for col in zip(*batch))
+    hits = policy.serve_batch(len(warm), pages, levels)
+    return ([(e.page, e.level, e.cost, e.reason) for e in ledger.events],
+            ledger.eviction_cost, dict(policy.cache.items()), hits)
+
+
+class TestStateChangedEarlierInTheBatch:
+    """Requests whose page an earlier request of the same batch evicted,
+    upgraded or fetched: each must see the cache as it is at that point,
+    exactly as the scan oracle does.  Each case is pinned explicitly
+    because random streams reach it only by chance."""
+
+    @pytest.mark.parametrize("kernel_cls,oracle_cls", FAMILIES,
+                             ids=lambda cls: cls.name)
+    def test_cached_page_evicted_then_requested_again(self, kernel_cls,
+                                                      oracle_cls):
+        inst = WeightedPagingInstance(1, [3.0, 5.0])
+        warm, batch = [(0, 1)], [(0, 1), (1, 1), (0, 1)]
+        got = _warm_then_batch(kernel_cls, inst, warm, batch)
+        assert got == _warm_then_batch(oracle_cls, inst, warm, batch)
+        reason = kernel_cls._evict_reason
+        assert got[0] == [(0, 1, 3.0, reason), (1, 1, 5.0, reason)]
+        assert got[2:] == ({0: 1}, 1)
+
+    @pytest.mark.parametrize("kernel_cls,oracle_cls", FAMILIES,
+                             ids=lambda cls: cls.name)
+    def test_upgraded_page_hit_at_its_old_level(self, kernel_cls,
+                                                oracle_cls):
+        # The upgrade lifts page 0's key from 2 to 8, and Landlord's hit
+        # restores it at level 1 (8), so page 1 (key 5) is the victim; a
+        # restore at the requested level 2 would put page 0 at 2.
+        inst = MultiLevelInstance(2, [[8.0, 2.0], [5.0, 3.0], [7.0, 1.0]])
+        warm, batch = [(0, 2), (1, 1)], [(0, 1), (0, 2), (2, 1)]
+        got = _warm_then_batch(kernel_cls, inst, warm, batch)
+        assert got == _warm_then_batch(oracle_cls, inst, warm, batch)
+        assert got[0] == [(0, 2, 2.0, "upgrade"),
+                          (1, 1, 5.0, kernel_cls._evict_reason)]
+        assert got[2:] == ({0: 1, 2: 1}, 1)
+
+    @pytest.mark.parametrize("kernel_cls,oracle_cls", FAMILIES,
+                             ids=lambda cls: cls.name)
+    def test_refetched_at_a_lower_level_then_upgraded(self, kernel_cls,
+                                                      oracle_cls):
+        inst = MultiLevelInstance(1, [[4.0, 2.0], [6.0, 3.0]])
+        warm, batch = [(0, 1)], [(1, 1), (0, 2), (0, 1)]
+        got = _warm_then_batch(kernel_cls, inst, warm, batch)
+        assert got == _warm_then_batch(oracle_cls, inst, warm, batch)
+        reason = kernel_cls._evict_reason
+        assert got[0] == [(0, 1, 4.0, reason), (1, 1, 6.0, reason),
+                          (0, 2, 2.0, "upgrade")]
+        assert got[2:] == ({0: 1}, 0)
+
+    def test_landlord_restores_inserted_page_at_its_current_level(self):
+        # Page 2 is fetched at level 1 mid-batch, then hit at level 2: its
+        # credit is restored at level 1 (8 + offset 10 = 18), so page 3
+        # (key 13) is the next victim.  A restore at level 2 (11) or none
+        # (12) would evict page 2 instead.
+        inst = MultiLevelInstance(
+            2, [[10.0, 5.0], [4.0, 2.0], [8.0, 1.0], [6.0, 3.0]])
+        warm, batch = [(0, 1), (1, 1)], [(2, 1), (3, 2), (2, 2), (1, 1)]
+        got = _warm_then_batch(KernelLandlordPolicy, inst, warm, batch)
+        assert got == _warm_then_batch(LandlordRefPolicy, inst, warm, batch)
+        assert got[0] == [(1, 1, 4.0, "capacity"), (0, 1, 10.0, "capacity"),
+                          (3, 2, 3.0, "capacity")]
+        assert got[2:] == ({1: 1, 2: 1}, 1)
+
+
 def _counters(registry):
     """Every shard counter family; the latency histogram's sum is
     wall-clock, so it is left out."""

@@ -71,6 +71,17 @@ class TestSignalReaderFromRegistry:
         reader = SignalReader(populated_registry(), clock=FakeClock())
         assert isinstance(reader(), ControlSignals)
 
+    def test_one_collect_per_sample(self, monkeypatch):
+        reg = populated_registry()
+        calls = []
+        collect = reg.collect
+        monkeypatch.setattr(reg, "collect",
+                            lambda: calls.append(1) or collect())
+        reader = SignalReader(reg, clock=FakeClock())
+        for n in (1, 2, 3):
+            reader.sample()
+            assert len(calls) == n
+
     def test_empty_registry_reads_zero(self):
         signals = SignalReader(MetricsRegistry(), clock=FakeClock()).sample()
         assert signals.pressure == 0.0

@@ -9,11 +9,13 @@ installed shard's history counts on no backend.
 
 from time import sleep
 
+import numpy as np
 import pytest
 
+from repro.algorithms import KernelWaterFillingPolicy
 from repro.faults import FaultPlan
 from repro.obs import MetricsRegistry
-from repro.service import PagingService, ServiceConfig
+from repro.service import PagingService, ServiceConfig, ShardEngine
 from repro.workloads import multilevel_stream, random_multilevel_instance
 
 N_REQUESTS = 6000
@@ -151,3 +153,25 @@ def test_installed_shard_history_counts_nowhere(backend):
             if key[0] != "0" or (len(key) == 2
                                  and int(key[1]) not in levels_moved):
                 assert value == before[name].get(key, 0.0), (name, key)
+
+
+def test_unmetered_step_advances_the_ledger_only():
+    """``ShardEngine.serve`` — what a process worker runs per batch —
+    counts the batch in the ledger and leaves the meter as it was, so
+    the parent's meter is the only meter of a process-backed shard."""
+    registry = MetricsRegistry()
+    engine = ShardEngine(0, random_multilevel_instance(128, 24, 3, rng=0),
+                         KernelWaterFillingPolicy(), np.random.default_rng(0),
+                         registry=registry)
+    seq = make_workload(0, length=BATCH)
+    engine.serve(seq.pages, seq.levels)
+    ledger = engine.ledger
+    assert (ledger.n_requests, ledger.n_batches) == (BATCH, 1)
+    assert ledger.n_misses > 0
+    assert ledger.n_hits + ledger.n_misses == BATCH
+    assert engine.meter.latency.empty
+    assert engine.meter.profiler.stats() == {}
+    unmetered = families(registry)
+    assert all(value == 0 for name in COUNTERS
+               for value in unmetered[name].values())
+    assert unmetered["repro_batch_latency_seconds"][("0",)]["count"] == 0

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.algorithms import WaterFillingPolicy
 from repro.core.instance import WeightedPagingInstance
 from repro.obs import MetricsRegistry, MetricsServer, validate_trace
+from repro.obs.federation import histogram_quantile, parse_exposition
 from repro.service import (
     LatencyHistogram,
     PagingService,
@@ -102,6 +103,19 @@ class TestLatencyHistogramWindow:
         assert sorted(meter.latency._samples) == [0.5, 2.0]
         evict = meter.profiler.stats()["evict"]
         assert (evict.n, evict.total_s) == (2, pytest.approx(2.5))
+
+    def test_batch_latency_buckets_resolve_sub_millisecond_batches(self):
+        """A 50 us batch reads as such on the page, not as q x 0.5 ms
+        inside the first default bucket."""
+        reg = MetricsRegistry()
+        meter = ShardMeter(0, reg)
+        totals = ShardTotals(0, 0, 0, 0, 0, 0.0, {}, {})
+        for _ in range(1000):
+            meter.batch(totals, 50e-6)
+        families = parse_exposition(reg.render())
+        p50 = histogram_quantile(families, "repro_batch_latency_seconds",
+                                 0.5, shard="0")
+        assert 0.0 < p50 < 0.1
 
 
 class TestTraceDeterminismAcrossModes:
